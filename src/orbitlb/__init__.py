@@ -35,7 +35,6 @@ from .milp import (
     candidate_from_routing,
     check_solution,
     export_lp,
-    parse_lp,
 )
 from .model import DemandStream, Link, NfviGraph, ServiceDemand
 from .oracle import OracleResult, exact_oracle
@@ -106,7 +105,6 @@ __all__ = [
     "load_demands",
     "load_topology",
     "max_link_utilization",
-    "parse_lp",
     "partition",
     "process_demand",
     "route_all",

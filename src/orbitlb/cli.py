@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .annealing import AnnealingSchedule, simulated_annealing
 from .errors import OracleGuardError, OrbitlbError, PartitionError
@@ -35,13 +35,14 @@ KNOWN_ALGORITHMS = ("orbit", "oracle", "sa")
 class ExperimentConfig:
     topology: str
     demands: str
-    algorithm: str
-    kappas: list[int]
-    epsilons: list[float]
-    seed: int
-    flows_per_demand: int
-    w_max: int
     out_dir: str
+    # sweep and compare
+    kappas: list[int] = field(default_factory=list)
+    epsilons: list[float] = field(default_factory=list)
+    seed: int = 0
+    w_max: int = 0
+    # export
+    flows_per_demand: int = 0
 
 
 def _int_list(text: str, parser: argparse.ArgumentParser, flag: str) -> list[int]:
@@ -74,12 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--topology", required=True, help="topology file")
         p.add_argument("--demands", required=True, help="demand file")
+        p.add_argument("--out", required=True, help="output directory")
+
+    def online(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kappa", default="1", help="comma list of group counts")
         p.add_argument("--epsilon", default="1", help="comma list of balance factors")
         p.add_argument("--seed", type=int, default=0, help="deterministic run seed")
-        p.add_argument("--pd", type=int, default=2, help="flow copies per demand")
         p.add_argument("--wmax", type=int, default=3, help="largest weight enumerated")
-        p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
             "--oracle-prefix",
             type=int,
@@ -90,8 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="replay the stream per (kappa, epsilon) pair")
     common(p_sweep)
+    online(p_sweep)
     p_cmp = sub.add_parser("compare", help="line up online, exhaustive, and annealing runs")
     common(p_cmp)
+    online(p_cmp)
     p_cmp.add_argument(
         "--algorithms",
         default="orbit,oracle,sa",
@@ -103,33 +107,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--sa-stop", type=float, default=1e-3, help="final temperature")
     p_exp = sub.add_parser("export", help="write the optimization model as an LP file")
     common(p_exp)
+    p_exp.add_argument("--pd", type=int, default=2, help="flow copies per demand")
     return parser
 
 
 def _config_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
-    kappas = _int_list(args.kappa, parser, "--kappa")
-    epsilons = _float_list(args.epsilon, parser, "--epsilon")
-    for k in kappas:
+    config = ExperimentConfig(topology=args.topology, demands=args.demands, out_dir=args.out)
+    if args.command == "export":
+        if args.pd < 1:
+            parser.error(f"--pd must be >= 1, got {args.pd}")
+        config.flows_per_demand = args.pd
+        return config
+    config.kappas = _int_list(args.kappa, parser, "--kappa")
+    config.epsilons = _float_list(args.epsilon, parser, "--epsilon")
+    for k in config.kappas:
         if k < 1:
             parser.error(f"--kappa entries must be >= 1, got {k}")
-    for e in epsilons:
+    for e in config.epsilons:
         if e < 1:
             parser.error(f"--epsilon entries must be >= 1, got {e}")
-    if args.pd < 1:
-        parser.error(f"--pd must be >= 1, got {args.pd}")
+    if args.command == "compare" and (len(config.kappas) > 1 or len(config.epsilons) > 1):
+        parser.error("compare runs one (kappa, epsilon) pair; give one --kappa and one --epsilon")
     if args.wmax < 1:
         parser.error(f"--wmax must be >= 1, got {args.wmax}")
-    return ExperimentConfig(
-        topology=args.topology,
-        demands=args.demands,
-        algorithm=args.command,
-        kappas=kappas,
-        epsilons=epsilons,
-        seed=args.seed,
-        flows_per_demand=args.pd,
-        w_max=args.wmax,
-        out_dir=args.out,
-    )
+    config.seed = args.seed
+    config.w_max = args.wmax
+    return config
 
 
 def _load(config: ExperimentConfig) -> tuple[NfviGraph, DemandStream]:

@@ -19,6 +19,7 @@ integers and must be strictly increasing within a file.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import ParseError, ValidationError
@@ -47,9 +48,12 @@ def _logical_lines(path: str) -> list[tuple[int, list[str]]]:
 
 def _num(path: str, no: int, token: str, what: str) -> float:
     try:
-        return float(token)
+        val = float(token)
     except ValueError:
         raise ParseError(path, no, f"{what} must be a number, got {token!r}") from None
+    if not math.isfinite(val):
+        raise ParseError(path, no, f"{what} must be a finite number, got {token!r}")
+    return val
 
 
 def _ident(path: str, no: int, token: str, what: str) -> str:

@@ -20,7 +20,7 @@ LP text can express; the relaxation is recorded in the export header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import NfviGraph, ServiceDemand
@@ -366,108 +366,6 @@ def export_lp(model: MilpModel, path: str | None = None) -> str:
     return text
 
 
-def parse_lp(text: str) -> MilpModel:
-    """Re-read LP text produced by export_lp into an equivalent model.
-
-    Handles the exporter's dialect: one row per line, explicit term signs,
-    single-variable objective.  Exporting the parsed model reproduces the
-    input byte for byte.
-    """
-    delta = DELTA
-    m_z = 0.0
-    section = ""
-    rows: list[Row] = []
-    objective = "r"
-    bounds: dict[str, float] = {}
-    generals: list[str] = []
-    binaries: list[str] = []
-    seen_vars: dict[str, None] = {}
-    for raw_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("\\"):
-            body = line[1:].strip()
-            if body.startswith("delta ="):
-                delta = float(body.split("=", 1)[1].split("(", 1)[0].strip())
-            elif body.startswith("M_z ="):
-                m_z = float(body.split("=", 1)[1].strip())
-            continue
-        lowered = line.lower()
-        if lowered in ("minimize", "subject to", "bounds", "generals", "binaries", "end"):
-            section = lowered
-            continue
-        if section == "minimize":
-            _, rest = line.split(":", 1)
-            objective = rest.replace("+", "").strip()
-            seen_vars.setdefault(objective)
-        elif section == "subject to":
-            name, rest = line.split(":", 1)
-            name = name.strip()
-            tokens = rest.split()
-            terms: list[tuple[float, str]] = []
-            i = 0
-            sense = "="
-            rhs = 0.0
-            while i < len(tokens):
-                tok = tokens[i]
-                if tok in ("<=", ">=", "="):
-                    sense = tok
-                    rhs = float(tokens[i + 1])
-                    break
-                sign = 1.0 if tok == "+" else -1.0
-                nxt = tokens[i + 1]
-                try:
-                    coef = float(nxt)
-                    var = tokens[i + 2]
-                    i += 3
-                except ValueError:
-                    coef = 1.0
-                    var = nxt
-                    i += 2
-                terms.append((sign * coef, var))
-                seen_vars.setdefault(var)
-            family = name.split("_", 1)[0].lstrip("c")
-            side = ""
-            # only families 5 and 7 are emitted in two halves
-            if family in ("5", "7"):
-                side = "lo" if name.endswith("_lo") else "hi"
-            rows.append(Row(name, family, tuple(terms), sense, rhs, side=side))
-        elif section == "bounds":
-            var, _, num = line.split()
-            bounds[var] = float(num)
-            seen_vars.setdefault(var)
-        elif section == "generals":
-            generals.append(line)
-            seen_vars.setdefault(line)
-        elif section == "binaries":
-            binaries.append(line)
-            seen_vars.setdefault(line)
-    # rebuild the variable table in an order that re-exports the Bounds,
-    # Generals and Binaries sections byte-identically: objective first, then
-    # the section lists in file order, then remaining row variables
-    variables: dict[str, Variable] = {}
-    gen = set(generals)
-    binr = set(binaries)
-
-    def _kind(name: str) -> str:
-        return "integer" if name in gen else "binary" if name in binr else "continuous"
-
-    for name in [objective, *generals, *binaries, *seen_vars]:
-        if name not in variables:
-            variables[name] = Variable(name, _kind(name), lb=bounds.get(name, 0.0))
-    return MilpModel(
-        variables=variables,
-        rows=rows,
-        objective=objective,
-        m_z=m_z,
-        delta=delta,
-        flows_per_demand=0,
-        targets=(),
-        demand_ids=(),
-    )
-
-
 @dataclass(frozen=True)
 class SolutionCandidate:
     """A value for every model variable."""
@@ -576,11 +474,14 @@ def candidate_from_routing(
             values[_lvar(v, t)] = float(dist)
         for e in g.links:
             values[_uvar(e.id, t)] = 1.0 if dag.on_shortest(e, t) else 0.0
+        # g_{v,t}: the equal rate each demand bound for t places on every
+        # shortest-path out-link of v, summed over those demands
+        bound = [allocations[d.id] for d in demands if d.dst == t and d.id in allocations]
         for v in g.node_capacity:
-            values[_gvar(v, t)] = 0.0
-    for (v, t), share in _aggregate_shares(allocations).items():
-        if t in model.targets:
-            values[_gvar(v, t)] = share
+            outs = dag.out_links(v, t)
+            values[_gvar(v, t)] = (
+                sum((a.link_flow.get(outs[0].id, 0.0) for a in bound), 0.0) if outs else 0.0
+            )
     flows = model.flows_per_demand
     for d in demands:
         alloc = allocations.get(d.id)
@@ -593,11 +494,3 @@ def candidate_from_routing(
                 values[_bvar(e.id, p, d.id)] = 1.0 if per_flow > 0 else 0.0
     values["r"] = max_link_utilization(list(allocations.values()), g).r
     return SolutionCandidate(values)
-
-
-def _aggregate_shares(allocations: dict[int, FlowAllocation]) -> dict[tuple[str, str], float]:
-    total: dict[tuple[str, str], float] = {}
-    for alloc in allocations.values():
-        for key, share in alloc.node_share.items():
-            total[key] = total.get(key, 0.0) + share
-    return total

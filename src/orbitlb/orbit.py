@@ -221,8 +221,7 @@ def _route_share(
     state: OrbitState, i: int, d: ServiceDemand, amount: float
 ) -> FlowAllocation | None:
     if amount == 0:
-        return FlowAllocation(demand_id=d.id, amount=0.0, waypoints=(d.src, d.dst),
-                              chain=d.chain)
+        return FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
     entry = _share_subgraph(state, i, d)
     if entry is None:
         return None

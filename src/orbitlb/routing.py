@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import RoutingError, ValidationError
 from .model import Link, NfviGraph, ServiceDemand
@@ -107,110 +107,15 @@ def ecmp_dag(g: NfviGraph, w: dict[str, int], field: ShortestPathField | None = 
     return EcmpDag(g, w, field)
 
 
-@dataclass(frozen=True)
-class SegmentFlow:
-    """Equal-split flow of one routing segment toward a single target."""
-
-    entry: str
-    exit: str
-    amount: float
-    link_flow: dict[str, float]
-    node_share: dict[str, float]  # equal per-out-link rate assigned at a node
-
-
 @dataclass
 class FlowAllocation:
-    """Traffic placed on links for one demand (possibly in waypoint segments).
-
-    ``node_share[(v, t)]`` sums the equal per-link rates assigned at node v
-    toward segment target t; ``link_flow`` sums all segments.
-    """
+    """Traffic placed on links for one demand, summed over its waypoint
+    segments."""
 
     demand_id: int | None
-    amount: float
-    segment_flows: tuple[SegmentFlow, ...] = ()
-    waypoints: tuple[str, ...] = ()
-    chain: tuple[str, ...] = ()
-    link_flow: dict[str, float] = field(default_factory=dict)
-    node_share: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    def inflow_at(self, g: NfviGraph, v: str) -> float:
-        return sum(self.link_flow.get(e.id, 0.0) for e in g.in_links.get(v, ()))
-
-    def path_flows(self, g: NfviGraph) -> list[tuple[tuple[str, ...], float]]:
-        """Decompose into end-to-end path flows (link-id sequences).
-
-        Each segment's DAG flow is peeled into at most one path per link;
-        segment path lists are then concatenated by repeatedly consuming the
-        smallest leading rate, so the result stays below |E| paths.
-        """
-        per_segment = [
-            _peel_paths(g, seg)
-            for seg in self.segment_flows
-            if seg.amount > RATE_TOL and seg.entry != seg.exit
-        ]
-        if not per_segment:
-            return []
-        merged = per_segment[0]
-        for seg_paths in per_segment[1:]:
-            merged = _zip_paths(merged, seg_paths)
-        return [(tuple(p), rate) for p, rate in merged]
-
-
-def _peel_paths(g: NfviGraph, seg: SegmentFlow) -> list[tuple[list[str], float]]:
-    remaining = {eid: val for eid, val in seg.link_flow.items() if val > 0}
-    tol = max(RATE_TOL, seg.amount * 1e-12)
-    paths: list[tuple[list[str], float]] = []
-    while True:
-        path: list[str] = []
-        v = seg.entry
-        rate = INF
-        while v != seg.exit:
-            nxt = None
-            for e in sorted(g.out_links.get(v, ()), key=lambda x: x.id):
-                if remaining.get(e.id, 0.0) > tol:
-                    nxt = e
-                    break
-            if nxt is None:
-                break
-            path.append(nxt.id)
-            rate = min(rate, remaining[nxt.id])
-            v = nxt.dst
-        if v != seg.exit or not path:
-            break
-        for eid in path:
-            left = remaining[eid] - rate
-            remaining[eid] = left if left > tol else 0.0
-        paths.append((path, rate))
-    return paths
-
-
-def _zip_paths(
-    a: list[tuple[list[str], float]], b: list[tuple[list[str], float]]
-) -> list[tuple[list[str], float]]:
-    out: list[tuple[list[str], float]] = []
-    ai = bi = 0
-    a = [(p, r) for p, r in a]
-    b = [(p, r) for p, r in b]
-    ra = a[ai][1] if a else 0.0
-    rb = b[bi][1] if b else 0.0
-    while ai < len(a) and bi < len(b):
-        take = min(ra, rb)
-        out.append((a[ai][0] + b[bi][0], take))
-        ra -= take
-        rb -= take
-        if ra <= RATE_TOL:
-            ai += 1
-            ra = a[ai][1] if ai < len(a) else 0.0
-        if rb <= RATE_TOL:
-            bi += 1
-            rb = b[bi][1] if bi < len(b) else 0.0
-    return out
-
-
-def _empty_allocation(d_id: int | None, amount: float, waypoints: tuple[str, ...],
-                      chain: tuple[str, ...]) -> FlowAllocation:
-    return FlowAllocation(demand_id=d_id, amount=amount, waypoints=waypoints, chain=chain)
+    waypoints: tuple[str, ...]
+    chain: tuple[str, ...]
+    link_flow: dict[str, float]
 
 
 def split_demand(
@@ -226,27 +131,20 @@ def split_demand(
     unreachable (unless the amount is zero, which routes trivially)."""
     if amount < 0:
         raise ValidationError([f"negative traffic amount {amount}"])
-    if amount == 0 or entry == exit:
-        return _empty_allocation(demand_id, amount, (entry, exit), ())
-    seg = _split_segment(g, dag, entry, exit, amount)
-    alloc = FlowAllocation(
-        demand_id=demand_id,
-        amount=amount,
-        segment_flows=(seg,),
-        waypoints=(entry, exit),
-        link_flow=dict(seg.link_flow),
-        node_share={(v, exit): s for v, s in seg.node_share.items()},
-    )
-    return alloc
+    link_flow: dict[str, float] = {}
+    if amount != 0 and entry != exit:
+        link_flow = _split_segment(g, dag, entry, exit, amount)
+    return FlowAllocation(demand_id, (entry, exit), (), link_flow)
 
 
-def _split_segment(g: NfviGraph, dag: EcmpDag, entry: str, exit: str, amount: float) -> SegmentFlow:
+def _split_segment(
+    g: NfviGraph, dag: EcmpDag, entry: str, exit: str, amount: float
+) -> dict[str, float]:
     dist = dag.field.to_target(exit)
     if dist.get(entry, INF) == INF:
         raise RoutingError(f"node {exit} is unreachable from {entry}")
     inflow: dict[str, float] = {entry: amount}
     link_flow: dict[str, float] = {}
-    node_share: dict[str, float] = {}
     order = sorted(
         (v for v, dv in dist.items() if dv != INF),
         key=lambda v: (-dist[v], v),
@@ -258,11 +156,10 @@ def _split_segment(g: NfviGraph, dag: EcmpDag, entry: str, exit: str, amount: fl
         outs = dag.out_links(v, exit)
         # every non-exit node at finite distance has a tight out-link
         share = flow_in / len(outs)
-        node_share[v] = share
         for e in outs:
             link_flow[e.id] = link_flow.get(e.id, 0.0) + share
             inflow[e.dst] = inflow.get(e.dst, 0.0) + share
-    return SegmentFlow(entry, exit, amount, link_flow, node_share)
+    return link_flow
 
 
 def select_waypoints(
@@ -315,36 +212,21 @@ def route_demand_sfc(
     if field is None:
         field = shortest_path_field(g, w)
     if amount == 0:
-        return _empty_allocation(d.id, 0.0, (d.src, d.dst), d.chain)
+        return FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
     waypoints = select_waypoints(g, field, d, allowed_hosts)
     if waypoints is None:
         return None
     if dag is None:
         dag = ecmp_dag(g, w, field)
-    segments: list[SegmentFlow] = []
     link_flow: dict[str, float] = {}
-    node_share: dict[tuple[str, str], float] = {}
     for a, b in zip(waypoints, waypoints[1:]):
         if a == b:
             continue
         if field.dist(a, b) == INF:
             return None
-        seg = _split_segment(g, dag, a, b, amount)
-        segments.append(seg)
-        for eid, val in seg.link_flow.items():
+        for eid, val in _split_segment(g, dag, a, b, amount).items():
             link_flow[eid] = link_flow.get(eid, 0.0) + val
-        for v, s in seg.node_share.items():
-            key = (v, b)
-            node_share[key] = node_share.get(key, 0.0) + s
-    return FlowAllocation(
-        demand_id=d.id,
-        amount=amount,
-        segment_flows=tuple(segments),
-        waypoints=waypoints,
-        chain=d.chain,
-        link_flow=link_flow,
-        node_share=node_share,
-    )
+    return FlowAllocation(d.id, waypoints, d.chain, link_flow)
 
 
 @dataclass
@@ -366,15 +248,29 @@ class UtilizationReport:
         ]
 
 
+def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
+    """Compute usage of one allocation: node v spends, for every chain
+    position it can host, the demand's total incoming rate at v times the
+    per-rate cost of that function."""
+    usage: dict[str, float] = {}
+    inflow_cache: dict[str, float] = {}
+    for fn in alloc.chain:
+        for v in g.node_capacity:
+            if not g.can_host(v, fn):
+                continue
+            if v not in inflow_cache:
+                inflow_cache[v] = sum(
+                    alloc.link_flow.get(e.id, 0.0) for e in g.in_links.get(v, ())
+                )
+            usage[v] = usage.get(v, 0.0) + g.cost(v, fn) * inflow_cache[v]
+    return usage
+
+
 def max_link_utilization(
     allocs: FlowAllocation | list[FlowAllocation], g: NfviGraph
 ) -> UtilizationReport:
-    """Aggregate link utilizations and per-node compute usage.
-
-    Compute usage at node v counts, for every demand and every chain
-    position the node can host, the demand's total incoming rate at v times
-    the per-rate cost of that function; r is a ratio, never a gate.
-    """
+    """Aggregate link utilizations and per-node compute usage; r is a
+    ratio, never a gate."""
     if isinstance(allocs, FlowAllocation):
         allocs = [allocs]
     chi: dict[str, float] = {e.id: 0.0 for e in g.links}
@@ -385,16 +281,8 @@ def max_link_utilization(
     r = max(per_link.values(), default=0.0)
     node_usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
     for alloc in allocs:
-        if not alloc.chain:
-            continue
-        inflow_cache: dict[str, float] = {}
-        for fn in alloc.chain:
-            for v in g.node_capacity:
-                if not g.can_host(v, fn):
-                    continue
-                if v not in inflow_cache:
-                    inflow_cache[v] = alloc.inflow_at(g, v)
-                node_usage[v] += g.cost(v, fn) * inflow_cache[v]
+        for v, val in _alloc_node_usage(alloc, g).items():
+            node_usage[v] += val
     return UtilizationReport(r=r, chi=chi, per_link=per_link, node_usage=node_usage)
 
 
@@ -417,33 +305,52 @@ def route_stream(g: NfviGraph, w: dict[str, int], demands) -> StreamResult:
     """Route demands in order with capacity admission: commit each routable
     demand whose added load keeps every link within bandwidth and every node
     within compute, rejecting the rest."""
+    return _route_demands(g, w, demands, gate=True)
+
+
+def route_all(g: NfviGraph, w: dict[str, int], demands) -> StreamResult | None:
+    """Route every demand with no capacity gate; None when any demand is
+    unroutable.  The report may show utilizations above 1, which callers
+    judging joint feasibility (exhaustive weight search) inspect."""
+    return _route_demands(g, w, demands, gate=False)
+
+
+def _route_demands(
+    g: NfviGraph, w: dict[str, int], demands, gate: bool
+) -> StreamResult | None:
+    """The loop behind route_stream (``gate``: reject unroutable or
+    overloading demands) and route_all (no gate; None on the first
+    unroutable demand)."""
     field = shortest_path_field(g, w)
     dag = ecmp_dag(g, w, field)
-    committed: list[FlowAllocation] = []
     chi: dict[str, float] = {e.id: 0.0 for e in g.links}
     usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
+    committed: list[FlowAllocation] = []
     accepted: list[int] = []
     rejected: list[int] = []
     for d in demands:
         alloc = route_demand_sfc(g, w, d, field=field, dag=dag)
         if alloc is None:
+            if not gate:
+                return None
             rejected.append(d.id)
             continue
-        delta_usage = _alloc_node_usage(alloc, g)
-        fits = all(
-            chi[eid] + val <= g.link_by_id[eid].capacity + RATE_TOL
-            for eid, val in alloc.link_flow.items()
-        ) and all(
-            usage[v] + val <= g.node_capacity[v] + RATE_TOL * max(1.0, g.node_capacity[v])
-            for v, val in delta_usage.items()
-        )
-        if not fits:
-            rejected.append(d.id)
-            continue
-        for eid, val in alloc.link_flow.items():
-            chi[eid] += val
-        for v, val in delta_usage.items():
-            usage[v] += val
+        if gate:
+            delta_usage = _alloc_node_usage(alloc, g)
+            fits = all(
+                chi[eid] + val <= g.link_by_id[eid].capacity + RATE_TOL
+                for eid, val in alloc.link_flow.items()
+            ) and all(
+                usage[v] + val <= g.node_capacity[v] + RATE_TOL * max(1.0, g.node_capacity[v])
+                for v, val in delta_usage.items()
+            )
+            if not fits:
+                rejected.append(d.id)
+                continue
+            for eid, val in alloc.link_flow.items():
+                chi[eid] += val
+            for v, val in delta_usage.items():
+                usage[v] += val
         committed.append(alloc)
         accepted.append(d.id)
     return StreamResult(
@@ -452,51 +359,6 @@ def route_stream(g: NfviGraph, w: dict[str, int], demands) -> StreamResult:
         report=max_link_utilization(committed, g),
         allocations=tuple(committed),
     )
-
-
-def route_all(g: NfviGraph, w: dict[str, int], demands) -> StreamResult | None:
-    """Route every demand with no capacity gate; None when any demand is
-    unroutable.  The report may show utilizations above 1, which callers
-    judging joint feasibility (exhaustive weight search) inspect."""
-    field = shortest_path_field(g, w)
-    dag = ecmp_dag(g, w, field)
-    allocs: list[FlowAllocation] = []
-    for d in demands:
-        alloc = route_demand_sfc(g, w, d, field=field, dag=dag)
-        if alloc is None:
-            return None
-        allocs.append(alloc)
-    return StreamResult(
-        accepted_ids=tuple(d.id for d in demands),
-        rejected_ids=(),
-        report=max_link_utilization(allocs, g),
-        allocations=tuple(allocs),
-    )
-
-
-def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
-    usage: dict[str, float] = {}
-    if not alloc.chain:
-        return usage
-    inflow_cache: dict[str, float] = {}
-    for fn in alloc.chain:
-        for v in g.node_capacity:
-            if not g.can_host(v, fn):
-                continue
-            if v not in inflow_cache:
-                inflow_cache[v] = alloc.inflow_at(g, v)
-            usage[v] = usage.get(v, 0.0) + g.cost(v, fn) * inflow_cache[v]
-    return usage
-
-
-def allocation_csv_rows(allocs: list[FlowAllocation], g: NfviGraph) -> list[str]:
-    """Rows ``link,demand,flow,rate`` from the path decomposition."""
-    rows = []
-    for alloc in allocs:
-        for p, (path, rate) in enumerate(alloc.path_flows(g)):
-            for eid in path:
-                rows.append(f"{eid},{alloc.demand_id},{p},{format_number(rate)}")
-    return rows
 
 
 def format_number(x: float) -> str:

@@ -240,3 +240,58 @@ def test_export_writes_model(diamond_files, tmp_path, capsys):
     assert text.startswith("\\ delta")
     assert text.rstrip().endswith("End")
     assert "variables" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare", "export"])
+@pytest.mark.parametrize("bad", ["topology", "demands"])
+def test_non_finite_input_exits_one(diamond_files, tmp_path, capsys, command, bad):
+    topo, dem = diamond_files
+    files = {"topology": topo, "demands": dem}
+    broken = tmp_path / f"broken.{bad}"
+    if bad == "topology":
+        broken.write_text(DIAMOND_TOPO.replace("link e_bt b t 2", "link e_bt b t nan"))
+    else:
+        broken.write_text("demand 0 s t inf -\n")
+    files[bad] = str(broken)
+    extra = ["--algorithms", "orbit"] if command == "compare" else []
+    code = main(
+        [command, "--topology", files["topology"], "--demands", files["demands"],
+         *extra, "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"broken.{bad}:" in err and "must be a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("sweep", "--pd", "2"),
+        ("compare", "--pd", "2"),
+        ("export", "--kappa", "2"),
+        ("export", "--epsilon", "2"),
+        ("export", "--seed", "1"),
+        ("export", "--wmax", "2"),
+        ("export", "--oracle-prefix", "1"),
+    ],
+)
+def test_ignored_flags_are_not_accepted(diamond_files, tmp_path, capsys, command, flag, value):
+    topo, dem = diamond_files
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--topology", topo, "--demands", dem, flag, value,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--kappa", "--epsilon"])
+def test_compare_rejects_value_lists(diamond_files, tmp_path, capsys, flag):
+    topo, dem = diamond_files
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--topology", topo, "--demands", dem, flag, "1,2",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "one (kappa, epsilon) pair" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

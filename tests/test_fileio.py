@@ -69,6 +69,24 @@ def test_parse_error_carries_path_and_line(tmp_path):
     assert str(exc.value).startswith(f"{path}:2:")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, text, what",
+    [
+        ("t.topo", "node a 1\nnode b 1\nlink e1 a b {}\n", "bandwidth capacity"),
+        ("t.topo", "node a {}\n", "compute capacity"),
+        ("t.topo", "node a 1\nvnf fw\nhost a fw\nvnfcost a fw {}\n", "function cost"),
+        ("d.demands", "demand 0 a b {} -\n", "volume"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, token, name, text, what):
+    path = write(tmp_path, name, text.format(token))
+    load = load_demands if name.endswith(".demands") else load_topology
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert f"{what} must be a finite number" in str(exc.value)
+
+
 def test_unknown_directive_rejected(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_topology(write(tmp_path, "bad.topo", "edge a b 1\n"))

@@ -9,7 +9,6 @@ import pytest
 from orbitlb.errors import RoutingError, ValidationError
 from orbitlb.model import Link, NfviGraph, ServiceDemand
 from orbitlb.routing import (
-    allocation_csv_rows,
     ecmp_dag,
     format_number,
     max_link_utilization,
@@ -163,30 +162,6 @@ def test_off_dag_links_carry_no_flow(diamond):
     assert alloc.link_flow["e_sa"] == 8.0
 
 
-def test_path_decomposition_rebuilds_link_flow():
-    rng = random.Random(23)
-    for _ in range(30):
-        g = random_connected_graph(rng, max_nodes=7)
-        w = {e.id: rng.choice([1, 2]) for e in g.links}
-        src, dst = rng.sample(sorted(g.nodes), 2)
-        alloc = split_demand(g, ecmp_dag(g, w), src, dst, 5.0)
-        rebuilt: dict[str, float] = {}
-        total = 0.0
-        for path, rate in alloc.path_flows(g):
-            assert rate > 0
-            total += rate
-            at = src
-            for eid in path:
-                e = g.link_by_id[eid]
-                assert e.src == at
-                at = e.dst
-                rebuilt[eid] = rebuilt.get(eid, 0.0) + rate
-            assert at == dst
-        assert abs(total - 5.0) <= 1e-9
-        for eid, val in alloc.link_flow.items():
-            assert abs(rebuilt.get(eid, 0.0) - val) <= 1e-6
-
-
 def host_graph() -> NfviGraph:
     """Line a -> b -> c -> d with fw hosted at b and c."""
     nodes = {"a": 10.0, "b": 10.0, "c": 10.0, "d": 10.0}
@@ -282,13 +257,6 @@ def test_route_all_none_when_unroutable():
     g = chain_graph([5.0])
     demands = [ServiceDemand(0, "v1", "v0", 1.0, ())]
     assert route_all(g, unit_weights(g), demands) is None
-
-
-def test_allocation_csv_rows_shape(diamond):
-    alloc = split_demand(diamond, ecmp_dag(diamond, unit_weights(diamond)), "s", "t", 4.0, 9)
-    rows = allocation_csv_rows([alloc], diamond)
-    assert "e_sa,9,0,2" in rows
-    assert all(len(row.split(",")) == 4 for row in rows)
 
 
 def test_format_number_canonical_forms():
