@@ -48,7 +48,6 @@ from .orbit import (
 )
 from .partition import Partition, Partitioning, partition
 from .routing import (
-    EcmpDag,
     FlowAllocation,
     ShortestPathField,
     StreamResult,
@@ -71,7 +70,6 @@ __all__ = [
     "AdmissionDecision",
     "AnnealingSchedule",
     "DemandStream",
-    "EcmpDag",
     "FeasibilityReport",
     "FlowAllocation",
     "GuaranteeReport",

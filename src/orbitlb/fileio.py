@@ -32,6 +32,7 @@ from .model import (
     validate,
     validate_demands,
 )
+from .routing import format_number
 
 
 def _logical_lines(path: str) -> list[tuple[int, list[str]]]:
@@ -154,15 +155,15 @@ def serialize_topology(graph: NfviGraph) -> str:
     """Render a graph in the topology format (parses back to an equal graph)."""
     out: list[str] = []
     for v, cap in graph.node_capacity.items():
-        out.append(f"node {v} {cap:g}")
+        out.append(f"node {v} {format_number(cap)}")
     for fn in sorted(graph.vnf_catalog):
         out.append(f"vnf {fn}")
     for v, fn in graph.capability_pairs():
         out.append(f"host {v} {fn}")
     for (v, fn), c in sorted(graph.vnf_cost.items()):
-        out.append(f"vnfcost {v} {fn} {c:g}")
+        out.append(f"vnfcost {v} {fn} {format_number(c)}")
     for e in graph.links:
-        out.append(f"link {e.id} {e.src} {e.dst} {e.capacity:g}")
+        out.append(f"link {e.id} {e.src} {e.dst} {format_number(e.capacity)}")
     return "\n".join(out) + "\n"
 
 
@@ -170,7 +171,7 @@ def serialize_demands(stream: DemandStream) -> str:
     out: list[str] = []
     for d in stream:
         chain = ",".join(d.chain) if d.chain else "-"
-        out.append(f"demand {d.id} {d.src} {d.dst} {d.volume:g} {chain}")
+        out.append(f"demand {d.id} {d.src} {d.dst} {format_number(d.volume)} {chain}")
     return "\n".join(out) + "\n"
 
 

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .model import NfviGraph, ServiceDemand
 from .routing import (
-    EcmpDag,
     FlowAllocation,
     ShortestPathField,
-    ecmp_dag,
     format_number,
     max_link_utilization,
     shortest_path_field,
@@ -445,7 +443,6 @@ def candidate_from_routing(
     demands: list[ServiceDemand],
     allocations: dict[int, FlowAllocation] | tuple[FlowAllocation, ...] | list[FlowAllocation],
     field: ShortestPathField | None = None,
-    dag: EcmpDag | None = None,
 ) -> SolutionCandidate:
     """Lift routed allocations into a full variable assignment.
 
@@ -456,8 +453,6 @@ def candidate_from_routing(
         allocations = {a.demand_id: a for a in allocations}
     if field is None:
         field = shortest_path_field(g, w)
-    if dag is None:
-        dag = ecmp_dag(g, w, field)
     values: dict[str, float] = {}
     for e in g.links:
         values[_wvar(e.id)] = float(w[e.id])
@@ -473,12 +468,12 @@ def candidate_from_routing(
                 )
             values[_lvar(v, t)] = float(dist)
         for e in g.links:
-            values[_uvar(e.id, t)] = 1.0 if dag.on_shortest(e, t) else 0.0
+            values[_uvar(e.id, t)] = 1.0 if field.on_shortest(e, t) else 0.0
         # g_{v,t}: the equal rate each demand bound for t places on every
         # shortest-path out-link of v, summed over those demands
         bound = [allocations[d.id] for d in demands if d.dst == t and d.id in allocations]
         for v in g.node_capacity:
-            outs = dag.out_links(v, t)
+            outs = field.out_links(v, t)
             values[_gvar(v, t)] = (
                 sum((a.link_flow.get(outs[0].id, 0.0) for a in bound), 0.0) if outs else 0.0
             )

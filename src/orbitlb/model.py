@@ -50,6 +50,10 @@ class NfviGraph:
         self.link_by_id: dict[str, Link] = {e.id: e for e in self.links}
         self.vnf_catalog: tuple[str, ...] = tuple(dict.fromkeys(vnf_catalog))
         self._capability: frozenset[tuple[str, str]] = frozenset(capability)
+        self._hosts: dict[str, tuple[str, ...]] = {
+            fn: tuple(v for v in self.node_capacity if (v, fn) in self._capability)
+            for fn in {fn for _, fn in self._capability}
+        }
         self.vnf_cost: dict[tuple[str, str], float] = dict(vnf_cost or {})
 
         self.out_links: dict[str, list[Link]] = {v: [] for v in self.node_capacity}
@@ -72,7 +76,7 @@ class NfviGraph:
 
     def hosts_of(self, fn: str) -> list[str]:
         """Nodes able to host ``fn``, in declaration order."""
-        return [v for v in self.node_capacity if (v, fn) in self._capability]
+        return list(self._hosts.get(fn, ()))
 
     def cost(self, node: str, fn: str) -> float:
         """Compute units consumed per unit traffic rate (0 if unpriced)."""
@@ -84,17 +88,11 @@ class NfviGraph:
     def max_link_capacity(self) -> float:
         return max((e.capacity for e in self.links), default=0.0)
 
-    def restricted(
-        self,
-        link_ids: Iterable[str],
-        extra_nodes: Iterable[str] = (),
-        capability_nodes: Iterable[str] | None = None,
-    ) -> "NfviGraph":
+    def restricted(self, link_ids: Iterable[str], extra_nodes: Iterable[str] = ()) -> "NfviGraph":
         """Subgraph induced by a link subset.
 
-        Nodes are the endpoints of the kept links plus ``extra_nodes``.  When
-        ``capability_nodes`` is given, hosting capability is additionally
-        restricted to that node set (costs are carried over unchanged).
+        Nodes are the endpoints of the kept links plus ``extra_nodes``; their
+        hosting capabilities and costs are carried over unchanged.
         """
         keep = set(link_ids)
         links = [e for e in self.links if e.id in keep]
@@ -105,8 +103,7 @@ class NfviGraph:
         for v in extra_nodes:
             node_ids.setdefault(v)
         nodes = {v: self.node_capacity.get(v, 0.0) for v in node_ids}
-        allowed = set(nodes) if capability_nodes is None else set(capability_nodes)
-        caps = [(v, f) for (v, f) in sorted(self._capability) if v in nodes and v in allowed]
+        caps = [(v, f) for (v, f) in sorted(self._capability) if v in nodes]
         costs = {(v, f): c for (v, f), c in self.vnf_cost.items() if v in nodes}
         return NfviGraph(nodes, links, self.vnf_catalog, caps, costs)
 

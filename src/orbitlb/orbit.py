@@ -24,17 +24,15 @@ from .errors import ValidationError
 from .model import NfviGraph, ServiceDemand
 from .partition import Partitioning
 from .routing import (
-    EcmpDag,
     FlowAllocation,
     RATE_TOL,
     ShortestPathField,
     _alloc_node_usage,
-    ecmp_dag,
+    _split_segment,
     format_number,
     route_demand_sfc,
     shortest_path_field,
     unit_weights,
-    validate_weights,
 )
 
 INF = math.inf
@@ -95,9 +93,7 @@ class OrbitState:
         self.g = g
         self.part = partitioning
         self.w = dict(w) if w is not None else unit_weights(g)
-        validate_weights(g, self.w)
         self.field: ShortestPathField = shortest_path_field(g, self.w)
-        self.dag: EcmpDag = ecmp_dag(g, self.w, self.field)
         k = partitioning.kappa
         self.z: list[float] = [0.0] * k
         self.zeta: dict[int, int] = {}
@@ -113,7 +109,7 @@ class OrbitState:
         self.accepted_count: int = 0
         self.processed_count: int = 0
         self._subgraphs: dict[
-            tuple[int, str, str], tuple[NfviGraph, ShortestPathField, EcmpDag] | None
+            tuple[int, str, str], tuple[NfviGraph, ShortestPathField] | None
         ] = {}
 
     def max_utilization(self) -> float:
@@ -153,30 +149,13 @@ def eligible_partitions(
     return out
 
 
-def _dag_segment_links(dag: EcmpDag, src: str, target: str) -> set[str]:
-    """Links on any shortest path from src toward target (forward walk over
-    the target's shortest-path subgraph)."""
-    seen = {src}
-    frontier = [src]
-    links: set[str] = set()
-    while frontier:
-        v = frontier.pop()
-        if v == target:
-            continue
-        for e in dag.out_links(v, target):
-            links.add(e.id)
-            if e.dst not in seen:
-                seen.add(e.dst)
-                frontier.append(e.dst)
-    return links
-
-
 def _share_subgraph(
     state: OrbitState, i: int, d: ServiceDemand
-) -> tuple[NfviGraph, ShortestPathField, EcmpDag] | None:
+) -> tuple[NfviGraph, ShortestPathField] | None:
     """The group's internal links plus entry/exit ramps for this demand's
-    endpoints, with hosting restricted to group members.  None when the
-    group cannot be reached from the source or cannot reach the destination.
+    endpoints; each ramp is every link on a shortest path between the
+    endpoint and the group's closest member.  None when the group cannot be
+    reached from the source or cannot reach the destination.
     """
     key = (i, d.src, d.dst)
     if key in state._subgraphs:
@@ -201,18 +180,11 @@ def _share_subgraph(
         return None
     link_ids = set(part.link_ids)
     if v_in != d.src:
-        link_ids |= _dag_segment_links(state.dag, d.src, v_in)
+        link_ids.update(_split_segment(state.field, d.src, v_in, 1.0))
     if v_out != d.dst:
-        link_ids |= _dag_segment_links(state.dag, v_out, d.dst)
-    sub = g.restricted(
-        link_ids,
-        extra_nodes={d.src, d.dst, v_in, v_out} | set(part.nodes),
-        capability_nodes=part.nodes,
-    )
-    w_sub = {eid: state.w[eid] for eid in sub.link_ids}
-    f_sub = shortest_path_field(sub, w_sub)
-    dag_sub = ecmp_dag(sub, w_sub, f_sub)
-    entry = (sub, f_sub, dag_sub)
+        link_ids.update(_split_segment(state.field, v_out, d.dst, 1.0))
+    sub = g.restricted(link_ids, extra_nodes={d.src, d.dst, v_in, v_out} | set(part.nodes))
+    entry = (sub, shortest_path_field(sub, state.w))
     state._subgraphs[key] = entry
     return entry
 
@@ -225,12 +197,9 @@ def _route_share(
     entry = _share_subgraph(state, i, d)
     if entry is None:
         return None
-    sub, f_sub, dag_sub = entry
+    sub, f_sub = entry
     hosts = {v for v in state.part.parts[i].nodes if state.residual_node[v] > 0}
-    sub_w = {eid: state.w[eid] for eid in sub.link_ids}
-    return route_demand_sfc(
-        sub, sub_w, d, amount=amount, field=f_sub, dag=dag_sub, allowed_hosts=hosts
-    )
+    return route_demand_sfc(sub, state.w, d, amount=amount, field=f_sub, allowed_hosts=hosts)
 
 
 def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:

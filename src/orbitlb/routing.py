@@ -39,29 +39,25 @@ def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
 
 
 class ShortestPathField:
-    """Exact min-weight directed distance dist(v, t) for every node pair."""
+    """Shortest-path state of one graph under one weight vector.
 
-    def __init__(self, dist: dict[str, dict[str, float]]) -> None:
-        # dist[t][v] is the distance from v to t, math.inf when unreachable
-        self._dist = dist
+    Per target t, filled on first use: dist(v, t) for every node v (one
+    reverse Dijkstra, exact since weights are positive) and each node's tight
+    out-links, those on some shortest path to t.  The weights are copied, so
+    later changes to the caller's dict do not alter the answers.
+    """
 
-    def dist(self, v: str, t: str) -> float:
-        return self._dist[t][v]
+    def __init__(self, g: NfviGraph, w: dict[str, int]) -> None:
+        self._g = g
+        self._w = {e.id: w[e.id] for e in g.links}
+        # _dist[t][v] is the distance from v to t, math.inf when unreachable
+        self._dist: dict[str, dict[str, float]] = {}
+        self._out: dict[str, dict[str, list[Link]]] = {}
 
-    def to_target(self, t: str) -> dict[str, float]:
-        return self._dist[t]
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        return tuple(self._dist)
-
-
-def shortest_path_field(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
-    """Distances from every node to every target, one reverse Dijkstra per
-    target (weights are positive so Dijkstra is exact)."""
-    validate_weights(g, w)
-    dist: dict[str, dict[str, float]] = {}
-    for t in g.node_capacity:
+    def _fill(self, t: str) -> dict[str, float]:
+        g, w = self._g, self._w
+        if t not in g.node_capacity:
+            raise KeyError(t)
         d = {v: INF for v in g.node_capacity}
         d[t] = 0
         heap = [(0, t)]
@@ -76,35 +72,43 @@ def shortest_path_field(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
                 if alt < d[e.src]:
                     d[e.src] = alt
                     heapq.heappush(heap, (alt, e.src))
-        dist[t] = d
-    return ShortestPathField(dist)
+        out: dict[str, list[Link]] = {}
+        for e in g.links:
+            if d[e.src] != INF and d[e.src] == w[e.id] + d[e.dst]:
+                out.setdefault(e.src, []).append(e)
+        self._dist[t] = d
+        self._out[t] = out
+        return d
 
+    def to_target(self, t: str) -> dict[str, float]:
+        d = self._dist.get(t)
+        return self._fill(t) if d is None else d
 
-class EcmpDag:
-    """Per-destination subgraph of links lying on shortest paths."""
-
-    def __init__(self, g: NfviGraph, w: dict[str, int], field: ShortestPathField) -> None:
-        self.field = field
-        self._out: dict[str, dict[str, list[Link]]] = {}
-        for t in g.node_capacity:
-            d = field.to_target(t)
-            per_node: dict[str, list[Link]] = {}
-            for e in g.links:
-                if d[e.src] != INF and d[e.src] == w[e.id] + d[e.dst]:
-                    per_node.setdefault(e.src, []).append(e)
-            self._out[t] = per_node
-
-    def on_shortest(self, e: Link, t: str) -> bool:
-        return any(x.id == e.id for x in self._out[t].get(e.src, ()))
+    def dist(self, v: str, t: str) -> float:
+        return self.to_target(t)[v]
 
     def out_links(self, v: str, t: str) -> list[Link]:
-        return self._out[t].get(v, [])
+        out = self._out.get(t)
+        if out is None:
+            self._fill(t)
+            out = self._out[t]
+        return out.get(v, [])
+
+    def on_shortest(self, e: Link, t: str) -> bool:
+        return any(x.id == e.id for x in self.out_links(e.src, t))
 
 
-def ecmp_dag(g: NfviGraph, w: dict[str, int], field: ShortestPathField | None = None) -> EcmpDag:
-    if field is None:
-        field = shortest_path_field(g, w)
-    return EcmpDag(g, w, field)
+def shortest_path_field(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
+    validate_weights(g, w)
+    return ShortestPathField(g, w)
+
+
+def ecmp_dag(
+    g: NfviGraph, w: dict[str, int], field: ShortestPathField | None = None
+) -> ShortestPathField:
+    """The field holding the shortest-path DAGs: ``field`` when given, else a
+    new one for (g, w)."""
+    return shortest_path_field(g, w) if field is None else field
 
 
 @dataclass
@@ -120,7 +124,7 @@ class FlowAllocation:
 
 def split_demand(
     g: NfviGraph,
-    dag: EcmpDag,
+    field: ShortestPathField,
     entry: str,
     exit: str,
     amount: float,
@@ -133,14 +137,14 @@ def split_demand(
         raise ValidationError([f"negative traffic amount {amount}"])
     link_flow: dict[str, float] = {}
     if amount != 0 and entry != exit:
-        link_flow = _split_segment(g, dag, entry, exit, amount)
+        link_flow = _split_segment(field, entry, exit, amount)
     return FlowAllocation(demand_id, (entry, exit), (), link_flow)
 
 
 def _split_segment(
-    g: NfviGraph, dag: EcmpDag, entry: str, exit: str, amount: float
+    field: ShortestPathField, entry: str, exit: str, amount: float
 ) -> dict[str, float]:
-    dist = dag.field.to_target(exit)
+    dist = field.to_target(exit)
     if dist.get(entry, INF) == INF:
         raise RoutingError(f"node {exit} is unreachable from {entry}")
     inflow: dict[str, float] = {entry: amount}
@@ -153,7 +157,7 @@ def _split_segment(
         flow_in = inflow.get(v, 0.0)
         if v == exit or flow_in <= 0.0:
             continue
-        outs = dag.out_links(v, exit)
+        outs = field.out_links(v, exit)
         # every non-exit node at finite distance has a tight out-link
         share = flow_in / len(outs)
         for e in outs:
@@ -175,9 +179,7 @@ def select_waypoints(
     for fn in d.chain:
         prev = waypoints[-1]
         best: tuple[float, str] | None = None
-        for v in g.node_capacity:
-            if not g.can_host(v, fn):
-                continue
+        for v in g.hosts_of(fn):
             if allowed_hosts is not None and v not in allowed_hosts:
                 continue
             cost = field.dist(prev, v) + field.dist(v, d.dst)
@@ -199,7 +201,6 @@ def route_demand_sfc(
     d: ServiceDemand,
     amount: float | None = None,
     field: ShortestPathField | None = None,
-    dag: EcmpDag | None = None,
     allowed_hosts: set[str] | None = None,
 ) -> FlowAllocation | None:
     """Route a demand through its function chain as concatenated equal-split
@@ -216,15 +217,13 @@ def route_demand_sfc(
     waypoints = select_waypoints(g, field, d, allowed_hosts)
     if waypoints is None:
         return None
-    if dag is None:
-        dag = ecmp_dag(g, w, field)
     link_flow: dict[str, float] = {}
     for a, b in zip(waypoints, waypoints[1:]):
         if a == b:
             continue
         if field.dist(a, b) == INF:
             return None
-        for eid, val in _split_segment(g, dag, a, b, amount).items():
+        for eid, val in _split_segment(field, a, b, amount).items():
             link_flow[eid] = link_flow.get(eid, 0.0) + val
     return FlowAllocation(d.id, waypoints, d.chain, link_flow)
 
@@ -255,9 +254,7 @@ def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
     usage: dict[str, float] = {}
     inflow_cache: dict[str, float] = {}
     for fn in alloc.chain:
-        for v in g.node_capacity:
-            if not g.can_host(v, fn):
-                continue
+        for v in g.hosts_of(fn):
             if v not in inflow_cache:
                 inflow_cache[v] = sum(
                     alloc.link_flow.get(e.id, 0.0) for e in g.in_links.get(v, ())
@@ -274,16 +271,29 @@ def max_link_utilization(
     if isinstance(allocs, FlowAllocation):
         allocs = [allocs]
     chi: dict[str, float] = {e.id: 0.0 for e in g.links}
+    usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
     for alloc in allocs:
-        for eid, val in alloc.link_flow.items():
-            chi[eid] = chi.get(eid, 0.0) + val
+        _add_load(chi, usage, alloc, _alloc_node_usage(alloc, g))
+    return _report(g, chi, usage)
+
+
+def _add_load(
+    chi: dict[str, float],
+    usage: dict[str, float],
+    alloc: FlowAllocation,
+    alloc_usage: dict[str, float],
+) -> None:
+    """Add one allocation's link flow and node usage to running totals."""
+    for eid, val in alloc.link_flow.items():
+        chi[eid] = chi.get(eid, 0.0) + val
+    for v, val in alloc_usage.items():
+        usage[v] += val
+
+
+def _report(g: NfviGraph, chi: dict[str, float], usage: dict[str, float]) -> UtilizationReport:
     per_link = {e.id: (chi[e.id] / e.capacity) for e in g.links}
     r = max(per_link.values(), default=0.0)
-    node_usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
-    for alloc in allocs:
-        for v, val in _alloc_node_usage(alloc, g).items():
-            node_usage[v] += val
-    return UtilizationReport(r=r, chi=chi, per_link=per_link, node_usage=node_usage)
+    return UtilizationReport(r=r, chi=chi, per_link=per_link, node_usage=usage)
 
 
 @dataclass
@@ -322,21 +332,20 @@ def _route_demands(
     overloading demands) and route_all (no gate; None on the first
     unroutable demand)."""
     field = shortest_path_field(g, w)
-    dag = ecmp_dag(g, w, field)
     chi: dict[str, float] = {e.id: 0.0 for e in g.links}
     usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
     committed: list[FlowAllocation] = []
     accepted: list[int] = []
     rejected: list[int] = []
     for d in demands:
-        alloc = route_demand_sfc(g, w, d, field=field, dag=dag)
+        alloc = route_demand_sfc(g, w, d, field=field)
         if alloc is None:
             if not gate:
                 return None
             rejected.append(d.id)
             continue
+        delta_usage = _alloc_node_usage(alloc, g)
         if gate:
-            delta_usage = _alloc_node_usage(alloc, g)
             fits = all(
                 chi[eid] + val <= g.link_by_id[eid].capacity + RATE_TOL
                 for eid, val in alloc.link_flow.items()
@@ -347,16 +356,13 @@ def _route_demands(
             if not fits:
                 rejected.append(d.id)
                 continue
-            for eid, val in alloc.link_flow.items():
-                chi[eid] += val
-            for v, val in delta_usage.items():
-                usage[v] += val
+        _add_load(chi, usage, alloc, delta_usage)
         committed.append(alloc)
         accepted.append(d.id)
     return StreamResult(
         accepted_ids=tuple(accepted),
         rejected_ids=tuple(rejected),
-        report=max_link_utilization(committed, g),
+        report=_report(g, chi, usage),
         allocations=tuple(committed),
     )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from orbitlb import dataset_path
 from orbitlb.errors import ParseError, ValidationError
 from orbitlb.fileio import (
     load_demands,
@@ -136,7 +137,11 @@ def test_demand_source_equals_destination_is_a_parse_error(tmp_path):
 
 
 def test_topology_round_trip(tmp_path):
-    g = load_topology(write(tmp_path, "t.topo", TOPO))
+    # numbers that six significant digits would round: 1234567, 0.1 + 0.2
+    exact = "node d 1234567\nvnfcost c nat 0.30000000000000004\nlink cd c d 1234567\n"
+    g = load_topology(write(tmp_path, "t.topo", TOPO + exact))
+    assert g.node_capacity["d"] == 1234567.0
+    assert g.cost("c", "nat") == 0.1 + 0.2
     text = serialize_topology(g)
     g2 = load_topology(write(tmp_path, "t2.topo", text))
     assert serialize_topology(g2) == text
@@ -149,11 +154,25 @@ def test_topology_round_trip(tmp_path):
 
 
 def test_demands_round_trip(tmp_path):
-    stream = load_demands(write(tmp_path, "d.demands", DEMANDS))
+    exact = "demand 6 a b 1234567 -\ndemand 7 b c 0.30000000000000004 fw\n"
+    stream = load_demands(write(tmp_path, "d.demands", DEMANDS + exact))
+    assert [d.volume for d in stream][-2:] == [1234567.0, 0.1 + 0.2]
     text = serialize_demands(stream)
     again = load_demands(write(tmp_path, "d2.demands", text))
     assert serialize_demands(again) == text
     assert list(again) == list(stream)
+
+
+@pytest.mark.parametrize("name", ["internet2", "geant"])
+def test_bundled_datasets_are_their_own_serialization(name):
+    header = f"# synthetic {name} dataset, regenerate with scripts/gen_synthetic_datasets.py\n"
+    topo = dataset_path(f"{name}.topo")
+    demands = dataset_path(f"{name}.demands")
+    g = load_topology(topo)
+    with open(topo, encoding="utf-8", newline="") as fh:
+        assert fh.read() == header + serialize_topology(g)
+    with open(demands, encoding="utf-8", newline="") as fh:
+        assert fh.read() == header + serialize_demands(load_demands(demands, g))
 
 
 def test_write_text_creates_directories(tmp_path):

@@ -96,6 +96,19 @@ def test_hosting_helpers():
     assert g.capability_pairs() == [("a", "fw")]
 
 
+def test_hosts_follow_declaration_order_and_are_copies():
+    g = make_graph(
+        nodes={"c": 1.0, "a": 1.0, "b": 1.0},
+        links=(),
+        capability={("b", "fw"), ("c", "fw"), ("a", "fw"), ("a", "off_catalog")},
+    )
+    assert g.hosts_of("fw") == ["c", "a", "b"]
+    assert g.hosts_of("off_catalog") == ["a"]
+    assert g.hosts_of("nat") == []
+    g.hosts_of("fw").append("z")
+    assert g.hosts_of("fw") == ["c", "a", "b"]
+
+
 def test_max_link_capacity():
     g = make_graph(links=(Link("ab", "a", "b", 5.0), Link("ba", "b", "a", 9.0)))
     assert g.max_link_capacity() == 9.0
@@ -103,10 +116,11 @@ def test_max_link_capacity():
 
 def test_restricted_keeps_chosen_links_and_capabilities():
     g = make_graph()
-    sub = g.restricted({"ab"}, capability_nodes={"b"})
+    sub = g.restricted({"ab"})
     assert [e.id for e in sub.links] == ["ab"]
     assert set(sub.nodes) == {"a", "b"}
-    assert not sub.can_host("a", "fw")
+    assert sub.capability_pairs() == [("a", "fw")]
+    assert sub.cost("a", "fw") == 2.0
 
 
 def test_restricted_adds_extra_nodes():

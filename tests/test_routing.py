@@ -9,6 +9,7 @@ import pytest
 from orbitlb.errors import RoutingError, ValidationError
 from orbitlb.model import Link, NfviGraph, ServiceDemand
 from orbitlb.routing import (
+    ShortestPathField,
     ecmp_dag,
     format_number,
     max_link_utilization,
@@ -69,6 +70,29 @@ def test_dag_keeps_only_tight_links(diamond):
     assert dag.on_shortest(by_id["e_at"], "t")
     assert not dag.on_shortest(by_id["e_sb"], "t")  # 1 + 2 > 2
     assert dag.on_shortest(by_id["e_bt"], "t")
+
+
+def test_field_answers_unknown_target_with_key_error(diamond):
+    field = shortest_path_field(diamond, unit_weights(diamond))
+    with pytest.raises(KeyError):
+        field.dist("s", "nowhere")
+    with pytest.raises(KeyError):
+        field.out_links("s", "nowhere")
+
+
+def test_field_keeps_its_own_weights(diamond):
+    w = unit_weights(diamond)
+    field = shortest_path_field(diamond, w)
+    w["e_at"] = 5  # after construction, before any target is filled
+    assert field.dist("s", "t") == 2.0
+    assert [e.id for e in field.out_links("s", "t")] == ["e_sa", "e_sb"]
+
+
+def test_ecmp_dag_returns_the_given_field(diamond):
+    w = unit_weights(diamond)
+    field = shortest_path_field(diamond, w)
+    assert ecmp_dag(diamond, w, field) is field
+    assert isinstance(ecmp_dag(diamond, w), ShortestPathField)
 
 
 def test_equal_split_on_diamond(diamond):
@@ -232,6 +256,42 @@ def test_node_usage_counts_capable_nodes_by_inflow():
     assert report.node_usage["b"] == 4.0
     assert report.node_usage["c"] == 0.0
     assert report.over_capacity_nodes(g) == []
+
+
+def random_chained_instance(rng: random.Random) -> tuple[NfviGraph, list[ServiceDemand]]:
+    """Random strongly connected graph with hosts, fractional costs, tight
+    node capacities and chained demands."""
+    base = random_connected_graph(rng, max_nodes=9)
+    fns = ["fw", "nat", "dpi"]
+    nodes = {v: float(rng.choice([1, 5, 40])) for v in base.nodes}
+    caps = sorted((v, f) for v in nodes for f in fns if rng.random() < 0.4)
+    costs = {(v, f): rng.choice([0.1, 0.3, 0.5, 2.0]) for v, f in caps if rng.random() < 0.8}
+    g = NfviGraph(nodes, base.links, fns, caps, costs)
+    names = sorted(g.nodes)
+    demands = []
+    for i in range(rng.randint(1, 15)):
+        u, v = rng.sample(names, 2)
+        chain = tuple(rng.sample(fns, rng.randint(0, 2)))
+        demands.append(ServiceDemand(i, u, v, rng.choice([0.0, 1.0, 1.5, 2.7, 4.0]), chain))
+    return g, demands
+
+
+def test_stream_reports_equal_a_fresh_summation():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(80):
+        g, demands = random_chained_instance(rng)
+        w = {e.id: rng.choice([1, 2, 3]) for e in g.links}
+        for result in (route_stream(g, w, demands), route_all(g, w, demands)):
+            if result is None:
+                continue
+            fresh = max_link_utilization(list(result.allocations), g)
+            assert result.report.r == fresh.r
+            assert result.report.chi == fresh.chi
+            assert result.report.per_link == fresh.per_link
+            assert result.report.node_usage == fresh.node_usage
+            checked += 1
+    assert checked > 80
 
 
 def test_route_stream_rejects_over_capacity(diamond):
