@@ -43,8 +43,9 @@ class ShortestPathField:
 
     Per target t, filled on first use: dist(v, t) for every node v (one
     reverse Dijkstra, exact since weights are positive) and each node's tight
-    out-links, those on some shortest path to t.  The weights are copied, so
-    later changes to the caller's dict do not alter the answers.
+    out-links, those on some shortest path to t.  Per source s, also on first
+    use: dist(s, v) for every node v (one forward Dijkstra).  The weights are
+    copied, so later changes to the caller's dict do not alter the answers.
     """
 
     def __init__(self, g: NfviGraph, w: dict[str, int]) -> None:
@@ -53,25 +54,38 @@ class ShortestPathField:
         # _dist[t][v] is the distance from v to t, math.inf when unreachable
         self._dist: dict[str, dict[str, float]] = {}
         self._out: dict[str, dict[str, list[Link]]] = {}
+        # _from[s][v] is the distance from s to v
+        self._from: dict[str, dict[str, float]] = {}
+        # _order[t]: nodes at finite distance to t, farthest first, ties by id
+        self._order: dict[str, list[str]] = {}
 
-    def _fill(self, t: str) -> dict[str, float]:
+    def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
+        """Distances from root (forward, over out-links) or to root
+        (reverse, over in-links) for every node."""
         g, w = self._g, self._w
-        if t not in g.node_capacity:
-            raise KeyError(t)
+        if root not in g.node_capacity:
+            raise KeyError(root)
+        adjacent = g.out_links if forward else g.in_links
         d = {v: INF for v in g.node_capacity}
-        d[t] = 0
-        heap = [(0, t)]
+        d[root] = 0
+        heap = [(0, root)]
         while heap:
             dv, v = heapq.heappop(heap)
             if dv > d[v]:
                 continue
-            for e in g.in_links.get(v, ()):
-                if e.src not in d:
+            for e in adjacent.get(v, ()):
+                u = e.dst if forward else e.src
+                if u not in d:
                     continue
                 alt = dv + w[e.id]
-                if alt < d[e.src]:
-                    d[e.src] = alt
-                    heapq.heappush(heap, (alt, e.src))
+                if alt < d[u]:
+                    d[u] = alt
+                    heapq.heappush(heap, (alt, u))
+        return d
+
+    def _fill(self, t: str) -> dict[str, float]:
+        d = self._dijkstra(t, forward=False)
+        g, w = self._g, self._w
         out: dict[str, list[Link]] = {}
         for e in g.links:
             if d[e.src] != INF and d[e.src] == w[e.id] + d[e.dst]:
@@ -83,6 +97,13 @@ class ShortestPathField:
     def to_target(self, t: str) -> dict[str, float]:
         d = self._dist.get(t)
         return self._fill(t) if d is None else d
+
+    def from_source(self, s: str) -> dict[str, float]:
+        """dist(s, v) for every node v, math.inf when unreachable."""
+        d = self._from.get(s)
+        if d is None:
+            d = self._from[s] = self._dijkstra(s, forward=True)
+        return d
 
     def dist(self, v: str, t: str) -> float:
         return self.to_target(t)[v]
@@ -96,6 +117,18 @@ class ShortestPathField:
 
     def on_shortest(self, e: Link, t: str) -> bool:
         return any(x.id == e.id for x in self.out_links(e.src, t))
+
+    def order(self, t: str) -> list[str]:
+        """Nodes at finite distance to t, sorted by (-dist(v, t), v): every
+        node comes before the heads of its tight out-links."""
+        order = self._order.get(t)
+        if order is None:
+            dist = self.to_target(t)
+            order = self._order[t] = sorted(
+                (v for v, dv in dist.items() if dv != INF),
+                key=lambda v: (-dist[v], v),
+            )
+        return order
 
 
 def shortest_path_field(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
@@ -149,11 +182,7 @@ def _split_segment(
         raise RoutingError(f"node {exit} is unreachable from {entry}")
     inflow: dict[str, float] = {entry: amount}
     link_flow: dict[str, float] = {}
-    order = sorted(
-        (v for v, dv in dist.items() if dv != INF),
-        key=lambda v: (-dist[v], v),
-    )
-    for v in order:
+    for v in field.order(exit):
         flow_in = inflow.get(v, 0.0)
         if v == exit or flow_in <= 0.0:
             continue
@@ -174,15 +203,25 @@ def select_waypoints(
 ) -> tuple[str, ...] | None:
     """Hosting node per chain position: among capable nodes, pick the one
     minimizing dist(previous waypoint, v) + dist(v, destination), ties by
-    smallest node id.  None when some position has no reachable host."""
+    smallest node id.  None when some position has no reachable host.
+
+    One forward run from each previous waypoint and one reverse run to the
+    destination score every host; both are fetched only once some host
+    passes the filter."""
     waypoints = [d.src]
+    to_dst: dict[str, float] | None = None
     for fn in d.chain:
         prev = waypoints[-1]
+        from_prev: dict[str, float] | None = None
         best: tuple[float, str] | None = None
         for v in g.hosts_of(fn):
             if allowed_hosts is not None and v not in allowed_hosts:
                 continue
-            cost = field.dist(prev, v) + field.dist(v, d.dst)
+            if from_prev is None:
+                from_prev = field.from_source(prev)
+                if to_dst is None:
+                    to_dst = field.to_target(d.dst)
+            cost = from_prev[v] + to_dst[v]
             if cost == INF:
                 continue
             key = (cost, v)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from orbitlb.errors import ValidationError
@@ -121,6 +123,30 @@ def test_restricted_keeps_chosen_links_and_capabilities():
     assert set(sub.nodes) == {"a", "b"}
     assert sub.capability_pairs() == [("a", "fw")]
     assert sub.cost("a", "fw") == 2.0
+
+
+def test_restricted_matches_a_full_filter_of_the_parent():
+    rng = random.Random(11)
+    names = [f"n{i}" for i in range(8)]
+    fns = ["fw", "nat", "dpi"]
+    for _ in range(40):
+        links = tuple(
+            Link(f"e{k}", *rng.sample(names, 2), 5.0) for k in range(rng.randint(0, 14))
+        )
+        caps = {(v, f) for v in names for f in fns if rng.random() < 0.4}
+        # costs also for pairs a node cannot host, and for an undeclared node
+        costs = {(v, f): rng.choice([0.5, 1.0, 3.0]) for v in names + ["ghost"] for f in fns
+                 if rng.random() < 0.5}
+        g = NfviGraph({v: 10.0 for v in names}, links, fns, caps, costs)
+        kept = [e.id for e in links if rng.random() < 0.5]
+        extra = rng.sample(names + ["ghost"], rng.randint(0, 3))
+        sub = g.restricted(kept, extra_nodes=extra)
+        inside = set(sub.nodes)
+        assert sub.capability_pairs() == [p for p in g.capability_pairs() if p[0] in inside]
+        assert sub.vnf_cost == {k: c for k, c in g.vnf_cost.items() if k[0] in inside}
+        for fn in fns:
+            assert sub.hosts_of(fn) == [v for v in sub.nodes if sub.can_host(v, fn)]
+            assert set(sub.hosts_of(fn)) == set(g.hosts_of(fn)) & inside
 
 
 def test_restricted_adds_extra_nodes():

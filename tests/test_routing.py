@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlb.errors import RoutingError, ValidationError
 from orbitlb.model import Link, NfviGraph, ServiceDemand
@@ -78,6 +80,41 @@ def test_field_answers_unknown_target_with_key_error(diamond):
         field.dist("s", "nowhere")
     with pytest.raises(KeyError):
         field.out_links("s", "nowhere")
+
+
+def test_from_source_answers_unknown_source_with_key_error(diamond):
+    field = shortest_path_field(diamond, unit_weights(diamond))
+    with pytest.raises(KeyError):
+        field.from_source("nowhere")
+
+
+@st.composite
+def weighted_digraphs(draw) -> tuple[NfviGraph, dict[str, int]]:
+    """Random directed graphs, possibly disconnected, weights 1..5."""
+    n = draw(st.integers(1, 7))
+    names = [f"v{i}" for i in range(n)]
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    links = tuple(
+        Link(f"e{k}", names[i], names[j], 1.0) for k, (i, j) in enumerate(arcs) if i != j
+    )
+    w = {e.id: draw(st.integers(1, 5)) for e in links}
+    return NfviGraph({v: 0.0 for v in names}, links, frozenset(), {}, {}), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_digraphs())
+def test_forward_distances_equal_reverse_distances(gw):
+    g, w = gw
+    field = shortest_path_field(g, w)
+    for s in g.nodes:
+        from_s = field.from_source(s)
+        assert set(from_s) == set(g.nodes)
+        for v in g.nodes:
+            assert from_s[v] == field.dist(s, v)
+    for t in g.nodes:
+        dist = field.to_target(t)
+        finite = [v for v in g.nodes if dist[v] != INF]
+        assert field.order(t) == sorted(finite, key=lambda v: (-dist[v], v))
 
 
 def test_field_keeps_its_own_weights(diamond):
@@ -213,6 +250,72 @@ def test_waypoints_respect_allowed_hosts():
     d = ServiceDemand(0, "a", "d", 1.0, ("fw",))
     assert select_waypoints(g, field, d, allowed_hosts={"c"}) == ("a", "c", "d")
     assert select_waypoints(g, field, d, allowed_hosts=set()) is None
+
+
+def test_waypoints_use_distances_in_travel_direction():
+    """Asymmetric weights: scoring a host by dist(host, prev) or by
+    dist(dst, host) would pick y; the travel direction picks x."""
+    nodes = {v: 10.0 for v in ("s", "x", "y", "t")}
+    arcs = [("s", "x", 1), ("x", "t", 1), ("s", "y", 2), ("y", "t", 2),
+            ("x", "s", 4), ("y", "s", 1), ("t", "x", 4), ("t", "y", 1)]
+    links = tuple(Link(f"{a}{b}", a, b, 50.0) for a, b, _ in arcs)
+    w = {f"{a}{b}": c for a, b, c in arcs}
+    g = NfviGraph(nodes, links, frozenset({"fw"}), {("x", "fw"), ("y", "fw")}, {})
+    field = shortest_path_field(g, w)
+    assert field.dist("s", "x") != field.dist("x", "s")
+    assert field.dist("x", "t") != field.dist("t", "x")
+
+    def wrong_pick(score):
+        return min(("x", "y"), key=lambda v: (score(v), v))
+
+    assert wrong_pick(lambda v: field.dist(v, "s") + field.dist(v, "t")) == "y"
+    assert wrong_pick(lambda v: field.dist("s", v) + field.dist("t", v)) == "y"
+    d = ServiceDemand(0, "s", "t", 1.0, ("fw",))
+    assert select_waypoints(g, field, d) == ("s", "x", "t")
+
+
+def record_fills(monkeypatch) -> list[str]:
+    """Targets filled from now on, in order, by any field."""
+    filled: list[str] = []
+    real_fill = ShortestPathField._fill
+    monkeypatch.setattr(
+        ShortestPathField, "_fill", lambda self, t: filled.append(t) or real_fill(self, t)
+    )
+    return filled
+
+
+def test_waypoints_without_allowed_host_touch_no_target(monkeypatch):
+    g = host_graph()
+    field = shortest_path_field(g, unit_weights(g))
+    filled = record_fills(monkeypatch)
+    # the destination is not even a node: with no host to score, it is never read
+    d = ServiceDemand(0, "a", "nowhere", 1.0, ("fw",))
+    assert select_waypoints(g, field, d, allowed_hosts=set()) is None
+    assert select_waypoints(g, field, d, allowed_hosts={"a", "d"}) is None
+    assert filled == []
+    with pytest.raises(KeyError):
+        select_waypoints(g, field, d)
+
+
+def test_chained_route_fills_only_waypoint_targets(monkeypatch):
+    """Every node hosts both functions, yet routing one demand makes only its
+    destination and its chosen waypoints reverse-Dijkstra targets."""
+    base = random_connected_graph(random.Random(5), min_nodes=9, max_nodes=9)
+    fns = ("fw", "nat")
+    g = NfviGraph(
+        dict(base.node_capacity), base.links, fns,
+        {(v, f) for v in base.nodes for f in fns}, {},
+    )
+    rng = random.Random(8)
+    w = {e.id: rng.randint(1, 4) for e in g.links}
+    filled = record_fills(monkeypatch)
+    d = ServiceDemand(0, "n0", "n5", 2.0, fns)
+    alloc = route_demand_sfc(g, w, d, field=shortest_path_field(g, w))
+    assert alloc is not None
+    wp = alloc.waypoints
+    expected = {b for a, b in zip(wp, wp[1:]) if a != b} | {d.dst}
+    assert sorted(filled) == sorted(expected)
+    assert len(filled) <= 3 < len(g.hosts_of("fw"))
 
 
 def test_route_demand_through_chain_counts_revisited_links():
