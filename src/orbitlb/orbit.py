@@ -18,7 +18,7 @@ fraction and dual changes persist either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import NfviGraph, ServiceDemand
@@ -102,19 +102,19 @@ class OrbitState:
         self.residual_link: dict[str, float] = {e.id: e.capacity for e in g.links}
         self.residual_node: dict[str, float] = dict(g.node_capacity)
         self.chi: dict[str, float] = {e.id: 0.0 for e in g.links}
+        # running max of chi/capacity, raised where accepted demands add load
+        self.r_current: float = 0.0
         self.p_o: float = 0.0
         self.d_o: int = 0
         self.trace: list[tuple[int, float, int]] = []
         self.events: list[EventRecord] = []
         self.accepted_count: int = 0
         self.processed_count: int = 0
-        self._subgraphs: dict[
-            tuple[int, str, str], tuple[NfviGraph, ShortestPathField] | None
-        ] = {}
+        self._subgraphs: dict[tuple[int, str, str], ShortestPathField | None] = {}
 
     def max_utilization(self) -> float:
-        vals = [self.chi[e.id] / e.capacity for e in self.g.links]
-        return max(vals, default=0.0)
+        """max(chi/capacity) rescanned over every link; equals r_current."""
+        return max((self.chi[e.id] / e.capacity for e in self.g.links), default=0.0)
 
     def acceptance_ratio(self) -> float:
         if self.processed_count == 0:
@@ -151,42 +151,31 @@ def eligible_partitions(
 
 def _share_subgraph(
     state: OrbitState, i: int, d: ServiceDemand
-) -> tuple[NfviGraph, ShortestPathField] | None:
-    """The group's internal links plus entry/exit ramps for this demand's
-    endpoints; each ramp is every link on a shortest path between the
-    endpoint and the group's closest member.  None when the group cannot be
-    reached from the source or cannot reach the destination.
-    """
+) -> ShortestPathField | None:
+    """Field over the parent graph masked to the group's internal links plus
+    entry/exit ramps for this demand's endpoints; each ramp is every link on
+    a shortest path between the endpoint and the group's closest member, ties
+    by id.  None when the group is unreachable from the source or cannot
+    reach the destination."""
     key = (i, d.src, d.dst)
     if key in state._subgraphs:
         return state._subgraphs[key]
     part = state.part.parts[i]
-    g = state.g
-
-    def closest(dist_of) -> str | None:
-        best: tuple[float, str] | None = None
-        for v in sorted(part.nodes):
-            dist = dist_of(v)
-            if dist == INF:
-                continue
-            if best is None or (dist, v) < best:
-                best = (dist, v)
-        return best[1] if best else None
-
-    v_in = closest(lambda v: state.field.dist(d.src, v))
-    v_out = closest(lambda v: state.field.dist(v, d.dst))
-    if v_in is None or v_out is None:
+    from_src = state.field.from_source(d.src)
+    to_dst = state.field.to_target(d.dst)
+    nearest_in = min(((from_src[v], v) for v in part.nodes if from_src[v] != INF), default=None)
+    nearest_out = min(((to_dst[v], v) for v in part.nodes if to_dst[v] != INF), default=None)
+    if nearest_in is None or nearest_out is None:
         state._subgraphs[key] = None
         return None
+    v_in, v_out = nearest_in[1], nearest_out[1]
     link_ids = set(part.link_ids)
     if v_in != d.src:
         link_ids.update(_split_segment(state.field, d.src, v_in, 1.0))
     if v_out != d.dst:
         link_ids.update(_split_segment(state.field, v_out, d.dst, 1.0))
-    sub = g.restricted(link_ids, extra_nodes={d.src, d.dst, v_in, v_out} | set(part.nodes))
-    entry = (sub, shortest_path_field(sub, state.w))
-    state._subgraphs[key] = entry
-    return entry
+    masked = state._subgraphs[key] = ShortestPathField(state.g, state.w, link_ids)
+    return masked
 
 
 def _route_share(
@@ -194,12 +183,11 @@ def _route_share(
 ) -> FlowAllocation | None:
     if amount == 0:
         return FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
-    entry = _share_subgraph(state, i, d)
-    if entry is None:
+    masked = _share_subgraph(state, i, d)
+    if masked is None:
         return None
-    sub, f_sub = entry
     hosts = {v for v in state.part.parts[i].nodes if state.residual_node[v] > 0}
-    return route_demand_sfc(sub, state.w, d, amount=amount, field=f_sub, allowed_hosts=hosts)
+    return route_demand_sfc(state.g, state.w, d, amount=amount, field=masked, allowed_hosts=hosts)
 
 
 def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
@@ -260,6 +248,9 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
     for eid, val in link_delta.items():
         state.residual_link[eid] -= val
         state.chi[eid] += val
+        util = state.chi[eid] / state.g.link_by_id[eid].capacity
+        if util > state.r_current:
+            state.r_current = util
     for v, val in node_delta.items():
         state.residual_node[v] -= val
     state.accepted_count += 1
@@ -285,7 +276,7 @@ def _finish(
             sum_z=total_z,
             p_o=state.p_o,
             d_o=state.d_o,
-            r_current=state.max_utilization(),
+            r_current=state.r_current,
             acceptance_ratio=state.acceptance_ratio(),
         )
     )

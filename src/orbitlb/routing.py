@@ -46,11 +46,16 @@ class ShortestPathField:
     out-links, those on some shortest path to t.  Per source s, also on first
     use: dist(s, v) for every node v (one forward Dijkstra).  The weights are
     copied, so later changes to the caller's dict do not alter the answers.
+
+    ``links``, when given, masks the graph to those link ids: answers equal
+    those over ``g.restricted(links)`` on its nodes; other nodes are unreachable.
     """
 
-    def __init__(self, g: NfviGraph, w: dict[str, int]) -> None:
+    def __init__(self, g: NfviGraph, w: dict[str, int], links: set[str] | None = None) -> None:
         self._g = g
-        self._w = {e.id: w[e.id] for e in g.links}
+        # allowed links in declaration order; _w holds only their weights
+        self._links = g.links if links is None else [e for e in g.links if e.id in links]
+        self._w = {e.id: w[e.id] for e in self._links}
         # _dist[t][v] is the distance from v to t, math.inf when unreachable
         self._dist: dict[str, dict[str, float]] = {}
         self._out: dict[str, dict[str, list[Link]]] = {}
@@ -74,10 +79,11 @@ class ShortestPathField:
             if dv > d[v]:
                 continue
             for e in adjacent.get(v, ()):
+                we = w.get(e.id)
                 u = e.dst if forward else e.src
-                if u not in d:
+                if we is None or u not in d:
                     continue
-                alt = dv + w[e.id]
+                alt = dv + we
                 if alt < d[u]:
                     d[u] = alt
                     heapq.heappush(heap, (alt, u))
@@ -85,9 +91,9 @@ class ShortestPathField:
 
     def _fill(self, t: str) -> dict[str, float]:
         d = self._dijkstra(t, forward=False)
-        g, w = self._g, self._w
+        w = self._w
         out: dict[str, list[Link]] = {}
-        for e in g.links:
+        for e in self._links:
             if d[e.src] != INF and d[e.src] == w[e.id] + d[e.dst]:
                 out.setdefault(e.src, []).append(e)
         self._dist[t] = d
@@ -291,13 +297,16 @@ def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
     position it can host, the demand's total incoming rate at v times the
     per-rate cost of that function."""
     usage: dict[str, float] = {}
+    # only heads of loaded links have inflow; other nodes would add zero
+    link_flow = alloc.link_flow
+    heads = dict.fromkeys(g.link_by_id[eid].dst for eid in link_flow)
     inflow_cache: dict[str, float] = {}
     for fn in alloc.chain:
-        for v in g.hosts_of(fn):
+        for v in heads:
+            if not g.can_host(v, fn):
+                continue
             if v not in inflow_cache:
-                inflow_cache[v] = sum(
-                    alloc.link_flow.get(e.id, 0.0) for e in g.in_links.get(v, ())
-                )
+                inflow_cache[v] = sum(link_flow.get(e.id, 0.0) for e in g.in_links[v])
             usage[v] = usage.get(v, 0.0) + g.cost(v, fn) * inflow_cache[v]
     return usage
 

@@ -232,6 +232,23 @@ def test_guarantees_hold_on_random_streams():
         assert report.ok, report.render()
 
 
+def test_running_r_current_equals_a_fresh_maximum():
+    rng = random.Random(77)
+    accepted = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, max_nodes=10, capacity_choices=(2.0, 5.0, 10.0))
+        try:
+            part = partition(g, rng.randint(1, min(3, len(g.nodes))), 2.0, seed=0)
+        except Exception:
+            continue
+        state = OrbitState(g, part)
+        for d in random_stream(rng, g):
+            accepted += process_demand(state, d).accepted
+            fresh = max(state.chi[e.id] / e.capacity for e in g.links)
+            assert state.events[-1].r_current == fresh == state.max_utilization()
+    assert accepted > 100
+
+
 def cover_lp_opt(costs: list[Fraction], cover_sets: list[frozenset[int]]) -> Fraction:
     """Exact optimum of min c.z st sum_{i in S} z_i >= 1 per set, z >= 0,
     by vertex enumeration over tight-constraint subsets."""

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from orbitlb.errors import RoutingError, ValidationError
 from orbitlb.model import Link, NfviGraph, ServiceDemand
 from orbitlb.routing import (
+    FlowAllocation,
     ShortestPathField,
+    _alloc_node_usage,
     ecmp_dag,
     format_number,
     max_link_utilization,
@@ -115,6 +117,29 @@ def test_forward_distances_equal_reverse_distances(gw):
         dist = field.to_target(t)
         finite = [v for v in g.nodes if dist[v] != INF]
         assert field.order(t) == sorted(finite, key=lambda v: (-dist[v], v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_masked_field_matches_the_restricted_subgraph(gw, data):
+    g, w = gw
+    links = data.draw(st.sets(st.sampled_from(g.link_ids))) if g.links else set()
+    extra = data.draw(st.sets(st.sampled_from(g.nodes)))
+    sub = g.restricted(links, extra)
+    masked = ShortestPathField(g, w, links)
+    ref = ShortestPathField(sub, w)
+    outside = [v for v in g.nodes if v not in sub.node_capacity]
+    for t in sub.nodes:
+        to_t = masked.to_target(t)
+        assert {v: to_t[v] for v in sub.nodes} == ref.to_target(t)
+        assert all(to_t[v] == INF for v in outside)
+        assert masked.order(t) == ref.order(t)
+        for v in sub.nodes:
+            assert masked.out_links(v, t) == ref.out_links(v, t)
+    for s in sub.nodes:
+        from_s = masked.from_source(s)
+        assert {v: from_s[v] for v in sub.nodes} == ref.from_source(s)
+        assert all(from_s[v] == INF for v in outside)
 
 
 def test_field_keeps_its_own_weights(diamond):
@@ -377,6 +402,43 @@ def random_chained_instance(rng: random.Random) -> tuple[NfviGraph, list[Service
         chain = tuple(rng.sample(fns, rng.randint(0, 2)))
         demands.append(ServiceDemand(i, u, v, rng.choice([0.0, 1.0, 1.5, 2.7, 4.0]), chain))
     return g, demands
+
+
+def full_scan_node_usage(alloc, g: NfviGraph) -> dict[str, float]:
+    """Node usage summed at every capable node, inflow or not."""
+    usage: dict[str, float] = {}
+    for fn in alloc.chain:
+        for v in g.hosts_of(fn):
+            inflow = sum(alloc.link_flow.get(e.id, 0.0) for e in g.in_links.get(v, ()))
+            usage[v] = usage.get(v, 0.0) + g.cost(v, fn) * inflow
+    return usage
+
+
+def test_node_usage_at_link_heads_equals_a_full_scan():
+    rng = random.Random(41)
+    compared = 0
+    for _ in range(60):
+        g, demands = random_chained_instance(rng)
+        w = {e.id: rng.choice([1, 2, 3]) for e in g.links}
+        field = shortest_path_field(g, w)
+        allocs = []
+        for d in demands:
+            # repeated functions too: a node may host several positions
+            chain = tuple(rng.choice(g.vnf_catalog) for _ in range(rng.randint(0, 3)))
+            d = ServiceDemand(d.id, d.src, d.dst, rng.choice([1.0, 2.7, 0.3]), chain)
+            allocs.append(route_demand_sfc(g, w, d, field=field))
+            # and arbitrary fractional flows, where inflow sums are inexact
+            flows = {e.id: rng.choice([0.1, 0.2, 0.3, 0.7]) for e in g.links if rng.random() < 0.6}
+            allocs.append(FlowAllocation(d.id, (d.src, d.dst), chain, flows))
+        for alloc in allocs:
+            if alloc is None:
+                continue
+            got = _alloc_node_usage(alloc, g)
+            ref = full_scan_node_usage(alloc, g)
+            assert set(got) <= set(ref)
+            assert {v: x for v, x in got.items() if x} == {v: x for v, x in ref.items() if x}
+            compared += bool(got)
+    assert compared > 300
 
 
 def test_stream_reports_equal_a_fresh_summation():
