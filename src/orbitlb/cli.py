@@ -65,6 +65,16 @@ def _float_list(text: str, parser: argparse.ArgumentParser, flag: str) -> list[f
     return vals
 
 
+def _algorithm_list(text: str) -> list[str]:
+    vals = [a for a in text.split(",") if a != ""]
+    if not vals:
+        raise argparse.ArgumentTypeError("list is empty")
+    for algo in vals:
+        if algo not in KNOWN_ALGORITHMS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {algo!r}")
+    return vals
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitlb",
@@ -98,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     online(p_cmp)
     p_cmp.add_argument(
         "--algorithms",
+        type=_algorithm_list,
         default="orbit,oracle,sa",
         help="comma subset of orbit,oracle,sa",
     )
@@ -207,10 +218,9 @@ def _run_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _run_compare(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    algorithms = [a for a in args.algorithms.split(",") if a != ""]
     g, demands = _load(config)
     rows = []
-    for algo in algorithms:
+    for algo in args.algorithms:
         start = time.perf_counter()
         if algo == "orbit":
             prefix = args.oracle_prefix if args.oracle_prefix is not None else 10
@@ -276,10 +286,6 @@ def _run_export(config: ExperimentConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare":
-        for algo in args.algorithms.split(","):
-            if algo and algo not in KNOWN_ALGORITHMS:
-                parser.error(f"unknown algorithm {algo!r}")
     config = _config_from(args, parser)
     try:
         if args.command == "sweep":

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -89,21 +88,6 @@ class NfviGraph:
     def max_link_capacity(self) -> float:
         return max((e.capacity for e in self.links), default=0.0)
 
-    @cached_property
-    def _entries_at(
-        self,
-    ) -> tuple[dict[str, list[tuple[str, str]]], dict[str, list[tuple[tuple[str, str], float]]]]:
-        """Capability pairs and cost entries per node.  Built on the first
-        restricted() call rather than at construction, since the subgraphs
-        it returns are never restricted themselves."""
-        caps_at: dict[str, list[tuple[str, str]]] = {}
-        for v, fn in self._capability:
-            caps_at.setdefault(v, []).append((v, fn))
-        costs_at: dict[str, list[tuple[tuple[str, str], float]]] = {}
-        for key, c in self.vnf_cost.items():
-            costs_at.setdefault(key[0], []).append((key, c))
-        return caps_at, costs_at
-
     def restricted(self, link_ids: Iterable[str], extra_nodes: Iterable[str] = ()) -> "NfviGraph":
         """Subgraph induced by a link subset.
 
@@ -119,9 +103,8 @@ class NfviGraph:
         for v in extra_nodes:
             node_ids.setdefault(v)
         nodes = {v: self.node_capacity.get(v, 0.0) for v in node_ids}
-        caps_at, costs_at = self._entries_at
-        caps = [pair for v in nodes for pair in caps_at.get(v, ())]
-        costs = {key: c for v in nodes for key, c in costs_at.get(v, ())}
+        caps = [(v, fn) for v, fn in self._capability if v in nodes]
+        costs = {key: c for key, c in self.vnf_cost.items() if key[0] in nodes}
         return NfviGraph(nodes, links, self.vnf_catalog, caps, costs)
 
 

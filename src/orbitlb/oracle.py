@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import OracleGuardError
 from .model import NfviGraph, ServiceDemand
-from .routing import RATE_TOL, StreamResult, format_number, route_all
+from .routing import RATE_TOL, format_number, route_all
 
 GUARD_LIMIT = 10**7
 LOG_LIMIT = 10000
@@ -39,7 +39,6 @@ class OracleResult:
     combinations: int
     log: tuple[OracleEntry, ...]
     log_truncated: bool
-    best_result: StreamResult | None = None
 
     @property
     def feasible(self) -> bool:
@@ -70,7 +69,6 @@ def exact_oracle(
         raise OracleGuardError(combinations, GUARD_LIMIT)
     best_w: tuple[int, ...] | None = None
     best_r: float | None = None
-    best_result: StreamResult | None = None
     log: list[OracleEntry] = []
     truncated = False
     for combo in itertools.product(range(1, w_max + 1), repeat=len(link_ids)):
@@ -88,12 +86,11 @@ def exact_oracle(
             truncated = True
         # strict improvement keeps the lexicographically first optimum
         if feasible and (best_r is None or r < best_r):
-            best_w, best_r, best_result = combo, r, result
+            best_w, best_r = combo, r
     return OracleResult(
         best_w=dict(zip(link_ids, best_w)) if best_w is not None else None,
         best_r=best_r,
         combinations=combinations,
         log=tuple(log),
         log_truncated=truncated,
-        best_result=best_result,
     )

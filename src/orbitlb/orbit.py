@@ -329,9 +329,7 @@ class GuaranteeReport:
         return "\n".join(lines) + "\n"
 
 
-def verify_guarantees(
-    state: OrbitState, log_base: float = math.e
-) -> GuaranteeReport:
+def verify_guarantees(state: OrbitState) -> GuaranteeReport:
     """Check the run's analytic properties on the current state.
 
     coverage   - processed demands with eligible groups have fractions
@@ -373,7 +371,7 @@ def verify_guarantees(
     dual_ok = True
     details = []
     for p in state.part.parts:
-        bound = math.log(3 * kappa + 1, log_base) * (1.0 + p.pi * eps)
+        bound = math.log(3 * kappa + 1) * (1.0 + p.pi * eps)
         if loads[p.index] > bound + GUARANTEE_TOL:
             dual_ok = False
             details.append(

@@ -122,30 +122,37 @@ def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partit
             f"balance bound {bound:g} cannot cover {n} nodes with {kappa} groups"
         )
     pair_cap = _pair_capacity(g)
+    # nbr[v][u]: capacity between v and u; sorting the pairs lists each
+    # node's neighbours in node-id order, so every sum below adds its terms
+    # in an order that does not depend on hashing; self-loops and links to
+    # undeclared nodes never cross the cut, so they are left out
+    nbr: dict[str, dict[str, float]] = {v: {} for v in nodes}
+    for (u, v), c in sorted(pair_cap.items()):
+        if u != v and u in nbr and v in nbr:
+            nbr[u][v] = c
+            nbr[v][u] = c
     rng = random.Random(f"{seed}|{kappa}|{epsilon}")
 
     assign: dict[str, int] = {}
-    groups: list[set[str]] = [set() for _ in range(kappa)]
+    size = [0] * kappa
     for i, v in enumerate(rng.sample(nodes, kappa)):
         assign[v] = i
-        groups[i].add(v)
+        size[i] += 1
 
-    def attach_gain(v: str, i: int) -> float:
-        total = 0.0
-        for u in groups[i]:
-            key = (u, v) if u < v else (v, u)
-            total += pair_cap.get(key, 0.0)
-        return total
+    def attach_gains(v: str) -> list[float]:
+        """Capacity connecting v to each group."""
+        gains = [0.0] * kappa
+        for u, c in nbr[v].items():
+            if u in assign:
+                gains[assign[u]] += c
+        return gains
 
     unassigned = [v for v in nodes if v not in assign]
     while unassigned:
         best: tuple[float, int, str] | None = None
-        for i in range(kappa):
-            if len(groups[i]) >= cap:
-                continue
-            for v in unassigned:
-                gain = attach_gain(v, i)
-                if gain <= 0:
+        for v in unassigned:
+            for i, gain in enumerate(attach_gains(v)):
+                if gain <= 0 or size[i] >= cap:
                     continue
                 key = (-gain, i, v)
                 if best is None or key < best:
@@ -153,31 +160,19 @@ def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partit
         if best is None:
             # no connected candidate; place the smallest node in the
             # emptiest group that still has room
-            rooms = [(len(groups[i]), i) for i in range(kappa) if len(groups[i]) < cap]
-            _, i = min(rooms)
+            _, i = min((size[i], i) for i in range(kappa) if size[i] < cap)
             v = unassigned[0]
         else:
             _, i, v = best
         assign[v] = i
-        groups[i].add(v)
+        size[i] += 1
         unassigned.remove(v)
-
-    def cut_cost() -> float:
-        return sum(
-            c for (u, v), c in pair_cap.items() if assign[u] != assign[v]
-        )
 
     def delta_move(v: str, j: int) -> float:
         """Change in cut capacity if v moves to group j."""
         i = assign[v]
         d = 0.0
-        for u in nodes:
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            c = pair_cap.get(key, 0.0)
-            if c == 0.0:
-                continue
+        for u, c in nbr[v].items():
             if assign[u] == i:
                 d += c
             elif assign[u] == j:
@@ -188,32 +183,27 @@ def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partit
         improved = False
         for v in nodes:
             i = assign[v]
-            if len(groups[i]) <= 1:
+            if size[i] <= 1:
                 continue
             for j in range(kappa):
-                if j == i or len(groups[j]) >= cap:
+                if j == i or size[j] >= cap:
                     continue
                 if delta_move(v, j) < -BALANCE_FUZZ:
-                    groups[i].discard(v)
-                    groups[j].add(v)
+                    size[i] -= 1
+                    size[j] += 1
                     assign[v] = j
                     improved = True
                     break
-        for v in nodes:
-            for u in nodes:
-                if u <= v or assign[u] == assign[v]:
+        for k, v in enumerate(nodes):
+            for u in nodes[k + 1:]:
+                if assign[u] == assign[v]:
                     continue
                 i, j = assign[v], assign[u]
                 gain = delta_move(v, j) + delta_move(u, i)
-                key = (u, v) if u < v else (v, u)
                 # a swapped pair keeps its own edge crossing either way, but
                 # delta_move counted it as healed on both sides
-                gain += 2 * pair_cap.get(key, 0.0)
+                gain += 2 * nbr[v].get(u, 0.0)
                 if gain < -BALANCE_FUZZ:
-                    groups[i].discard(v)
-                    groups[j].discard(u)
-                    groups[i].add(u)
-                    groups[j].add(v)
                     assign[v], assign[u] = j, i
                     improved = True
         if not improved:
@@ -221,7 +211,7 @@ def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partit
 
     parts = []
     for i in range(kappa):
-        members = frozenset(groups[i])
+        members = frozenset(v for v in nodes if assign[v] == i)
         link_ids = tuple(e.id for e in g.links if e.src in members and e.dst in members)
         pi = max(1.0, _mst_bandwidth(members, pair_cap))
         parts.append(Partition(index=i, nodes=members, link_ids=link_ids, pi=pi))

@@ -286,6 +286,17 @@ def test_ignored_flags_are_not_accepted(diamond_files, tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [",", ""])
+def test_compare_rejects_empty_algorithm_list(diamond_files, tmp_path, capsys, value):
+    topo, dem = diamond_files
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--topology", topo, "--demands", dem, "--algorithms", value,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--algorithms: list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag", ["--kappa", "--epsilon"])
 def test_compare_rejects_value_lists(diamond_files, tmp_path, capsys, flag):
     topo, dem = diamond_files

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import orbitlb
 from orbitlb.errors import PartitionError
 from orbitlb.model import Link, NfviGraph
 from orbitlb.partition import _mst_bandwidth, _pair_capacity, partition
@@ -111,3 +116,67 @@ def test_empty_graph_rejected():
     g = NfviGraph({}, (), frozenset(), (), {})
     with pytest.raises(PartitionError):
         partition(g, 1, 1.0)
+
+
+def _pinned_runs_text() -> str:
+    rng = random.Random(7)
+    lines = []
+    for _ in range(20):
+        g = random_connected_graph(rng, max_nodes=80, min_nodes=10)
+        n = len(g.nodes)
+        kappa = rng.randint(2, 4)
+        eps = rng.choice((1.0, 1.5, 2.0))
+        try:
+            part = partition(g, kappa, eps, seed=rng.randint(0, 99))
+        except PartitionError:
+            lines.append(f"{n} {kappa} {eps} infeasible")
+            continue
+        for p in part.parts:
+            lines.append(
+                f"{n} {kappa} {eps} {p.index} {' '.join(sorted(p.nodes))}"
+                f" | {' '.join(p.link_ids)} | {p.pi!r}"
+            )
+    return "\n".join(lines)
+
+
+def test_groups_link_ids_and_costs_are_pinned():
+    # 20 ring-plus-chord graphs of 10-80 nodes with integer capacities, so
+    # every sum is exact; the digest was taken before the neighbour-map
+    # rewrite of partition() and must not move
+    digest = hashlib.sha256(_pinned_runs_text().encode()).hexdigest()
+    assert digest == "31fcedcf2023b25731a56d30b52ab399726978b07782b4fca635228bba2883d3"
+
+
+HASH_SEED_PROBE = """
+import random
+from orbitlb.model import Link, NfviGraph
+from orbitlb.partition import partition
+
+for graph_seed in (46, 103):
+    rng = random.Random(graph_seed)
+    n = rng.randint(10, 40)
+    names = [f"v{i:02d}" for i in range(n)]
+    links = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.075:
+                cap = rng.choice((0.1, 0.2, 0.3, 0.6))
+                links.append(Link(f"e{len(links)}", names[i], names[j], cap))
+    part = partition(NfviGraph({v: 0.0 for v in names}, links), 2, 1.0)
+    print([sorted(p.nodes) for p in part.parts])
+"""
+
+
+def test_groups_do_not_depend_on_hash_seed():
+    # fractional capacities make float sums depend on the order they are
+    # added in; set iteration order changes with PYTHONHASHSEED
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbitlb.__file__)))
+    outputs = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
