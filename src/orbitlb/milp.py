@@ -20,13 +20,13 @@ LP text can express; the relaxation is recorded in the export header.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import NfviGraph, ServiceDemand
 from .routing import (
     FlowAllocation,
-    ShortestPathField,
     format_number,
     max_link_utilization,
     shortest_path_field,
@@ -74,10 +74,6 @@ class MilpModel:
                 continue
             counts[row.family] = counts.get(row.family, 0) + 1
         return counts
-
-    def rows_in(self, families: tuple[str, ...]) -> list[Row]:
-        want = set(families)
-        return [r for r in self.rows if r.family in want]
 
 
 class _RowBuilder:
@@ -441,18 +437,15 @@ def candidate_from_routing(
     g: NfviGraph,
     w: dict[str, int],
     demands: list[ServiceDemand],
-    allocations: dict[int, FlowAllocation] | tuple[FlowAllocation, ...] | list[FlowAllocation],
-    field: ShortestPathField | None = None,
+    allocations: Sequence[FlowAllocation],
 ) -> SolutionCandidate:
     """Lift routed allocations into a full variable assignment.
 
     Per-flow traffic divides each demand's link flow evenly across its flow
     copies.  Requires every distance label the model uses to be finite.
     """
-    if not isinstance(allocations, dict):
-        allocations = {a.demand_id: a for a in allocations}
-    if field is None:
-        field = shortest_path_field(g, w)
+    by_demand = {a.demand_id: a for a in allocations}
+    field = shortest_path_field(g, w)
     values: dict[str, float] = {}
     for e in g.links:
         values[_wvar(e.id)] = float(w[e.id])
@@ -471,7 +464,7 @@ def candidate_from_routing(
             values[_uvar(e.id, t)] = 1.0 if field.on_shortest(e, t) else 0.0
         # g_{v,t}: the equal rate each demand bound for t places on every
         # shortest-path out-link of v, summed over those demands
-        bound = [allocations[d.id] for d in demands if d.dst == t and d.id in allocations]
+        bound = [by_demand[d.id] for d in demands if d.dst == t and d.id in by_demand]
         for v in g.node_capacity:
             outs = field.out_links(v, t)
             values[_gvar(v, t)] = (
@@ -479,7 +472,7 @@ def candidate_from_routing(
             )
     flows = model.flows_per_demand
     for d in demands:
-        alloc = allocations.get(d.id)
+        alloc = by_demand.get(d.id)
         for e in g.links:
             per_flow = 0.0
             if alloc is not None:
@@ -487,5 +480,5 @@ def candidate_from_routing(
             for p in range(flows):
                 values[_xvar(e.id, p, d.id)] = per_flow
                 values[_bvar(e.id, p, d.id)] = 1.0 if per_flow > 0 else 0.0
-    values["r"] = max_link_utilization(list(allocations.values()), g).r
+    values["r"] = max_link_utilization(list(by_demand.values()), g).r
     return SolutionCandidate(values)

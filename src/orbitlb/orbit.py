@@ -128,8 +128,7 @@ class OrbitState:
 
 
 def eligible_partitions(
-    d: ServiceDemand, part: Partitioning, g: NfviGraph,
-    residual_node: dict[str, float] | None = None,
+    d: ServiceDemand, part: Partitioning, g: NfviGraph, residual_node: dict[str, float]
 ) -> list[int]:
     """Groups able to host every function of the chain on some member node
     with compute left.  An empty chain makes every group eligible."""
@@ -137,11 +136,7 @@ def eligible_partitions(
     for p in part.parts:
         ok = True
         for fn in d.chain:
-            if not any(
-                g.can_host(v, fn)
-                and (residual_node is None or residual_node[v] > 0)
-                for v in p.nodes
-            ):
+            if not any(g.can_host(v, fn) and residual_node[v] > 0 for v in p.nodes):
                 ok = False
                 break
         if ok:

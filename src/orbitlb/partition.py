@@ -38,12 +38,6 @@ class Partitioning:
     seed: int
     size_bound: float
 
-    def part_of(self, node: str) -> int:
-        for p in self.parts:
-            if node in p.nodes:
-                return p.index
-        raise KeyError(node)
-
     def verify(self, g: NfviGraph) -> list[str]:
         """Diagnostics for the structural invariants (disjoint cover,
         balance, positive costs)."""

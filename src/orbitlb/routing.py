@@ -282,9 +282,6 @@ class UtilizationReport:
     per_link: dict[str, float]
     node_usage: dict[str, float]
 
-    def over_capacity_links(self, tol: float = RATE_TOL) -> list[str]:
-        return [eid for eid, u in self.per_link.items() if u > 1.0 + tol]
-
     def over_capacity_nodes(self, g: NfviGraph, tol: float = RATE_TOL) -> list[str]:
         return [
             v for v, used in self.node_usage.items()

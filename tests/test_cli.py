@@ -145,20 +145,49 @@ def test_malformed_topology_exits_one(tmp_path, capsys):
 def test_usage_errors_exit_two(diamond_files, tmp_path):
     topo, dem = diamond_files
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--topology", topo, "--demands", dem,
-              "--kappa", "2,x", "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--topology", topo, "--demands", dem,
               "--algorithms", "orbit,magic", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+
+
+BAD_VALUES = [("--kappa", "0"), ("--kappa", "2,x"), ("--epsilon", "0.5"),
+              ("--wmax", "0"), ("--oracle-prefix", "-1")]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(command, flag, value) for command in ("sweep", "compare") for flag, value in BAD_VALUES]
+    + [
+        ("export", "--pd", "0"),
+        ("sweep", "--oracle-prefix", "-5"),
+        ("sweep", "--epsilon", "nan"),
+        ("sweep", "--epsilon", "inf"),
+    ],
+)
+def test_bad_flag_value_is_a_usage_error_naming_the_flag(
+    diamond_files, tmp_path, capsys, command, flag, value
+):
+    topo, dem = diamond_files
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--topology", topo, "--demands", dem,
-              "--epsilon", "0.5", "--out", str(tmp_path / "o")])
+        main([command, "--topology", topo, "--demands", dem, flag, value,
+              "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: orbitlb {command}" in err
+    assert f"argument {flag}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, default", [("sweep", 0), ("compare", 10)])
+def test_help_shows_the_oracle_prefix_default(capsys, command, default):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"seeds the online weights (default: {default})" in text
 
 
 def test_compare_all_algorithms(diamond_files, tmp_path):

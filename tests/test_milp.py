@@ -44,8 +44,9 @@ def test_family_counts_on_diamond(diamond):
 
 def test_two_sided_families_keep_both_rows(diamond):
     model = build_model(diamond, [one_demand()])
-    assert len(model.rows_in(("5",))) == 2 * model.family_counts()["5"]
-    assert len(model.rows_in(("7",))) == 2 * model.family_counts()["7"]
+    for fam in ("5", "7"):
+        rows = [r for r in model.rows if r.family == fam]
+        assert len(rows) == 2 * model.family_counts()[fam]
 
 
 def test_row_names_are_unique(diamond):
@@ -219,13 +220,13 @@ def test_candidate_equal_split_rate_per_node(diamond):
     assert cand["g_t_t"] == 0.0
 
 
-def test_candidate_accepts_dict_or_sequence(diamond):
+def test_candidate_matches_allocations_by_demand_id(diamond):
     w = {"e_sa": 1, "e_at": 1, "e_sb": 1, "e_bt": 2}
-    demands = [one_demand()]
+    demands = [one_demand(4.0), ServiceDemand(1, "s", "t", 2.0, ())]
     result = route_all(diamond, w, demands)
     model = build_model(diamond, demands)
-    by_seq = candidate_from_routing(model, diamond, w, demands, result.allocations)
-    by_dict = candidate_from_routing(
-        model, diamond, w, demands, {a.demand_id: a for a in result.allocations}
+    forward = candidate_from_routing(model, diamond, w, demands, result.allocations)
+    backward = candidate_from_routing(
+        model, diamond, w, demands, tuple(reversed(result.allocations))
     )
-    assert by_seq.values == by_dict.values
+    assert forward.values == backward.values

@@ -159,13 +159,12 @@ def test_eligibility_rules():
     )
     partng = Partitioning(parts, kappa=2, epsilon=2.0, seed=0, size_bound=4.0)
     chainless = ServiceDemand(0, "a", "c", 1.0, ())
-    assert eligible_partitions(chainless, partng, g) == [0, 1]
+    assert eligible_partitions(chainless, partng, g, g.node_capacity) == [0, 1]
     fw = ServiceDemand(1, "a", "c", 1.0, ("fw",))
-    assert eligible_partitions(fw, partng, g) == [0]
+    assert eligible_partitions(fw, partng, g, g.node_capacity) == [0]
     # b hosts dpi but has no compute budget left
     dpi = ServiceDemand(2, "a", "d", 1.0, ("dpi",))
     assert eligible_partitions(dpi, partng, g, g.node_capacity) == [1]
-    assert eligible_partitions(dpi, partng, g) == [0, 1]  # without budgets
     both = ServiceDemand(3, "a", "d", 1.0, ("fw", "dpi"))
     assert eligible_partitions(both, partng, g, g.node_capacity) == []
 

@@ -82,10 +82,10 @@ def test_different_seeds_may_differ_but_stay_valid():
         assert partition(g, 2, 1.0, seed=seed).verify(g) == []
 
 
-def test_part_of_maps_every_node(diamond):
+def test_every_node_is_in_exactly_one_group(diamond):
     part = partition(diamond, 2, 1.0)
     for v in diamond.nodes:
-        assert v in part.parts[part.part_of(v)].nodes
+        assert sum(v in p.nodes for p in part.parts) == 1
 
 
 def test_rejects_bad_group_counts(diamond):

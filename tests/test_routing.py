@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from orbitlb.errors import RoutingError, ValidationError
 from orbitlb.model import Link, NfviGraph, ServiceDemand
 from orbitlb.routing import (
+    RATE_TOL,
     FlowAllocation,
     ShortestPathField,
     _alloc_node_usage,
@@ -372,7 +373,7 @@ def test_utilization_report_on_diamond(diamond):
     report = max_link_utilization(alloc, diamond)
     assert report.r == 0.8
     assert report.per_link["e_sa"] == 0.8
-    assert report.over_capacity_links() == []
+    assert all(u <= 1.0 + RATE_TOL for u in report.per_link.values())
 
 
 def test_node_usage_counts_capable_nodes_by_inflow():
