@@ -31,14 +31,13 @@ class AnnealingSchedule:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.initial_temperature <= 0:
-            problems.append(f"initial temperature must be positive, got {self.initial_temperature}")
+        for name, t in (("initial", self.initial_temperature), ("stop", self.stop_temperature)):
+            if not (math.isfinite(t) and t > 0):
+                problems.append(f"{name} temperature must be finite and positive, got {t}")
         if not (0 < self.cooling < 1):
             problems.append(f"cooling factor must be in (0, 1), got {self.cooling}")
         if self.iterations_per_level < 0:
             problems.append(f"iterations per level must be >= 0, got {self.iterations_per_level}")
-        if self.stop_temperature <= 0:
-            problems.append(f"stop temperature must be positive, got {self.stop_temperature}")
         if problems:
             raise ValidationError(problems)
 

@@ -32,16 +32,22 @@ COMPARE_HEADER = "algorithm,max_link_utilization,acceptance_ratio,runtime_ms"
 KNOWN_ALGORITHMS = ("orbit", "oracle", "sa")
 
 
-def _at_least(low: int, parse: Callable[[str], float] = int) -> Callable[[str], float]:
-    """Argparse type: one finite number no smaller than ``low``."""
+def _number(
+    low: int, parse: Callable[[str], float] = int, strict: bool = False, below: float = math.inf
+) -> Callable[[str], float]:
+    """Argparse type: one finite number no smaller than ``low`` (greater
+    than it when ``strict``) and smaller than ``below``."""
+    bound = f"{'>' if strict else '>='} {low}"
+    if below != math.inf:
+        bound = f"in {'(' if strict else '['}{low}, {below})"
 
     def check(text: str) -> float:
         try:
             val = parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
-        if not (math.isfinite(val) and val >= low):
-            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text!r}")
+        if not (math.isfinite(val) and (val > low if strict else val >= low) and val < below):
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text!r}")
         return val
 
     return check
@@ -84,18 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def online(p: argparse.ArgumentParser, oracle_prefix: int, one: bool) -> None:
         p.add_argument(
-            "--kappa", type=_list_of(_at_least(1), one), default="1",
+            "--kappa", type=_list_of(_number(1), one), default="1",
             help="comma list of group counts",
         )
         p.add_argument(
-            "--epsilon", type=_list_of(_at_least(1, float), one), default="1",
+            "--epsilon", type=_list_of(_number(1, float), one), default="1",
             help="comma list of balance factors",
         )
         p.add_argument("--seed", type=int, default=0, help="deterministic run seed")
-        p.add_argument("--wmax", type=_at_least(1), default=3, help="largest weight enumerated")
+        p.add_argument("--wmax", type=_number(1), default=3, help="largest weight enumerated")
         p.add_argument(
             "--oracle-prefix",
-            type=_at_least(0),
+            type=_number(0),
             default=oracle_prefix,
             help="demands whose exhaustive optimum seeds the online weights "
             "(default: %(default)s)",
@@ -113,13 +119,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default="orbit,oracle,sa",
         help="comma subset of orbit,oracle,sa",
     )
-    p_cmp.add_argument("--sa-t0", type=float, default=1.0, help="starting temperature")
-    p_cmp.add_argument("--sa-cooling", type=float, default=0.95, help="cooling factor")
-    p_cmp.add_argument("--sa-iterations", type=int, default=100, help="moves per level")
-    p_cmp.add_argument("--sa-stop", type=float, default=1e-3, help="final temperature")
+    temperature = _number(0, float, strict=True)
+    p_cmp.add_argument("--sa-t0", type=temperature, default=1.0, help="starting temperature")
+    p_cmp.add_argument(
+        "--sa-cooling", type=_number(0, float, strict=True, below=1), default=0.95,
+        help="cooling factor",
+    )
+    p_cmp.add_argument("--sa-iterations", type=_number(0), default=100, help="moves per level")
+    p_cmp.add_argument("--sa-stop", type=temperature, default=1e-3, help="final temperature")
     p_exp = sub.add_parser("export", help="write the optimization model as an LP file")
     common(p_exp)
-    p_exp.add_argument("--pd", type=_at_least(1), default=2, help="flow copies per demand")
+    p_exp.add_argument("--pd", type=_number(1), default=2, help="flow copies per demand")
     return parser
 
 

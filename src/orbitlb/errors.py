@@ -44,5 +44,5 @@ class OracleGuardError(OrbitlbError):
         self.limit = limit
         super().__init__(
             f"enumeration of {combinations} weight vectors exceeds the guard "
-            f"limit of {limit}; pass force=True to run anyway"
+            f"limit of {limit}"
         )

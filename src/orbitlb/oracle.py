@@ -38,7 +38,6 @@ class OracleResult:
     best_r: float | None
     combinations: int
     log: tuple[OracleEntry, ...]
-    log_truncated: bool
 
     @property
     def feasible(self) -> bool:
@@ -54,23 +53,20 @@ def exact_oracle(
     g: NfviGraph,
     demands: list[ServiceDemand],
     w_max: int,
-    force: bool = False,
     log_limit: int = LOG_LIMIT,
 ) -> OracleResult:
     """Minimize r over all weight vectors by direct enumeration.
 
-    Refuses instances above 10^7 combinations unless forced.  The
-    feasibility log keeps the first ``log_limit`` entries; the enumeration
-    count is always exact.
+    Refuses instances above 10^7 combinations.  The feasibility log keeps
+    the first ``log_limit`` entries; the enumeration count is always exact.
     """
     link_ids = list(g.link_ids)
     combinations = w_max ** len(link_ids)
-    if combinations > GUARD_LIMIT and not force:
+    if combinations > GUARD_LIMIT:
         raise OracleGuardError(combinations, GUARD_LIMIT)
     best_w: tuple[int, ...] | None = None
     best_r: float | None = None
     log: list[OracleEntry] = []
-    truncated = False
     for combo in itertools.product(range(1, w_max + 1), repeat=len(link_ids)):
         w = dict(zip(link_ids, combo))
         result = route_all(g, w, demands)
@@ -82,8 +78,6 @@ def exact_oracle(
             feasible = r <= 1.0 + RATE_TOL and not result.report.over_capacity_nodes(g)
         if len(log) < log_limit:
             log.append(OracleEntry(combo, feasible, r))
-        else:
-            truncated = True
         # strict improvement keeps the lexicographically first optimum
         if feasible and (best_r is None or r < best_r):
             best_w, best_r = combo, r
@@ -92,5 +86,4 @@ def exact_oracle(
         best_r=best_r,
         combinations=combinations,
         log=tuple(log),
-        log_truncated=truncated,
     )

@@ -25,10 +25,10 @@ from .model import NfviGraph, ServiceDemand
 from .partition import Partitioning
 from .routing import (
     FlowAllocation,
-    RATE_TOL,
     ShortestPathField,
     _alloc_node_usage,
     _split_segment,
+    capacity_slack,
     format_number,
     route_demand_sfc,
     shortest_path_field,
@@ -79,7 +79,7 @@ class AdmissionDecision:
 
 
 class OrbitState:
-    """Mutable run state: fractions, duals, residual capacities, history.
+    """Mutable run state: fractions, duals, link loads, node budgets, history.
 
     Single-writer: demands must be processed strictly one at a time.
     """
@@ -99,7 +99,6 @@ class OrbitState:
         self.zeta: dict[int, int] = {}
         self.q: dict[int, set[int]] = {i: set() for i in range(k)}
         self.demand_q: dict[int, tuple[int, ...]] = {}
-        self.residual_link: dict[str, float] = {e.id: e.capacity for e in g.links}
         self.residual_node: dict[str, float] = dict(g.node_capacity)
         self.chi: dict[str, float] = {e.id: 0.0 for e in g.links}
         # running max of chi/capacity, raised where accepted demands add load
@@ -144,45 +143,37 @@ def eligible_partitions(
     return out
 
 
-def _share_subgraph(
-    state: OrbitState, i: int, d: ServiceDemand
-) -> ShortestPathField | None:
-    """Field over the parent graph masked to the group's internal links plus
-    entry/exit ramps for this demand's endpoints; each ramp is every link on
-    a shortest path between the endpoint and the group's closest member, ties
-    by id.  None when the group is unreachable from the source or cannot
-    reach the destination."""
-    key = (i, d.src, d.dst)
-    if key in state._subgraphs:
-        return state._subgraphs[key]
-    part = state.part.parts[i]
-    from_src = state.field.from_source(d.src)
-    to_dst = state.field.to_target(d.dst)
-    nearest_in = min(((from_src[v], v) for v in part.nodes if from_src[v] != INF), default=None)
-    nearest_out = min(((to_dst[v], v) for v in part.nodes if to_dst[v] != INF), default=None)
-    if nearest_in is None or nearest_out is None:
-        state._subgraphs[key] = None
-        return None
-    v_in, v_out = nearest_in[1], nearest_out[1]
-    link_ids = set(part.link_ids)
-    if v_in != d.src:
-        link_ids.update(_split_segment(state.field, d.src, v_in, 1.0))
-    if v_out != d.dst:
-        link_ids.update(_split_segment(state.field, v_out, d.dst, 1.0))
-    masked = state._subgraphs[key] = ShortestPathField(state.g, state.w, link_ids)
-    return masked
-
-
 def _route_share(
     state: OrbitState, i: int, d: ServiceDemand, amount: float
 ) -> FlowAllocation | None:
+    """Route group i's share of a demand on a field over the parent graph
+    masked to the group's internal links plus entry/exit ramps for the
+    demand's endpoints; each ramp is every link on a shortest path between
+    the endpoint and the group's closest member, ties by id.  Hosts are
+    group members with compute left.  None when the group is unreachable
+    from the source, cannot reach the destination, or has no route."""
     if amount == 0:
         return FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
-    masked = _share_subgraph(state, i, d)
+    key = (i, d.src, d.dst)
+    part = state.part.parts[i]
+    if key not in state._subgraphs:
+        from_src = state.field.from_source(d.src)
+        to_dst = state.field.to_target(d.dst)
+        nearest_in = min(((from_src[v], v) for v in part.nodes if from_src[v] != INF), default=None)
+        nearest_out = min(((to_dst[v], v) for v in part.nodes if to_dst[v] != INF), default=None)
+        masked = None
+        if nearest_in is not None and nearest_out is not None:
+            link_ids = set(part.link_ids)
+            for a, b in ((d.src, nearest_in[1]), (nearest_out[1], d.dst)):
+                if a != b:
+                    link_ids.update(_split_segment(state.field, a, b, 1.0))
+            masked = ShortestPathField(state.g, state.w, link_ids)
+        state._subgraphs[key] = masked
+    masked = state._subgraphs[key]
     if masked is None:
         return None
-    hosts = {v for v in state.part.parts[i].nodes if state.residual_node[v] > 0}
-    return route_demand_sfc(state.g, state.w, d, amount=amount, field=masked, allowed_hosts=hosts)
+    hosts = {v for v in part.nodes if state.residual_node[v] > 0}
+    return route_demand_sfc(state.g, masked, d, amount=amount, allowed_hosts=hosts)
 
 
 def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
@@ -190,7 +181,8 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
 
     Raising sweeps run while the eligible fractions sum below 1; fraction
     and dual increases persist even when the demand is then rejected for
-    capacity, and only accepted demands change residual capacities.
+    capacity, and only accepted demands add link load and spend node
+    compute.  A link's budget is its capacity less its load ``chi``.
     """
     if d.id in state.demand_q:
         raise ValidationError([f"demand {d.id} was already processed"])
@@ -200,11 +192,9 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
         state.q[i].add(d.id)
     state.demand_q[d.id] = tuple(q_ids)
     state.zeta[d.id] = 0
-    if not q_ids:
-        return _finish(state, d, False, "no_eligible_partition", {}, {}, {}, {}, 0.0)
 
     eps = state.part.epsilon
-    while sum(state.z[i] for i in q_ids) < 1.0:
+    while q_ids and sum(state.z[i] for i in q_ids) < 1.0:
         d_p = 0.0
         for i in q_ids:
             pi = state.part.parts[i].pi
@@ -217,52 +207,44 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
         state.d_o += 1
         state.trace.append((d.id, d_p, 1))
 
-    total_z = sum(state.z[i] for i in q_ids)
+    total_z = sum((state.z[i] for i in q_ids), 0.0)
     shares = {i: d.volume * state.z[i] / total_z for i in q_ids}
     allocations: dict[int, FlowAllocation] = {}
     link_delta: dict[str, float] = {}
     node_delta: dict[str, float] = {}
+    reason = "" if q_ids else "no_eligible_partition"
     for i in q_ids:
         alloc = _route_share(state, i, d, shares[i])
         if alloc is None:
-            return _finish(state, d, False, "capacity", shares, {}, {}, {}, total_z)
+            reason = "capacity"
+            break
         allocations[i] = alloc
         for eid, val in alloc.link_flow.items():
             link_delta[eid] = link_delta.get(eid, 0.0) + val
         for v, val in _alloc_node_usage(alloc, state.g).items():
             node_delta[v] = node_delta.get(v, 0.0) + val
-    fits = all(
-        val <= state.residual_link[eid] + RATE_TOL * max(1.0, state.g.link_by_id[eid].capacity)
-        for eid, val in link_delta.items()
-    ) and all(
-        val <= state.residual_node[v] + RATE_TOL * max(1.0, state.g.node_capacity[v])
-        for v, val in node_delta.items()
-    )
-    if not fits:
-        return _finish(state, d, False, "capacity", shares, {}, {}, {}, total_z)
-    for eid, val in link_delta.items():
-        state.residual_link[eid] -= val
-        state.chi[eid] += val
-        util = state.chi[eid] / state.g.link_by_id[eid].capacity
-        if util > state.r_current:
-            state.r_current = util
-    for v, val in node_delta.items():
-        state.residual_node[v] -= val
-    state.accepted_count += 1
-    return _finish(state, d, True, "", shares, allocations, link_delta, node_delta, total_z)
-
-
-def _finish(
-    state: OrbitState,
-    d: ServiceDemand,
-    accepted: bool,
-    reason: str,
-    shares: dict[int, float],
-    allocations: dict[int, FlowAllocation],
-    link_delta: dict[str, float],
-    node_delta: dict[str, float],
-    total_z: float,
-) -> AdmissionDecision:
+    if not reason:
+        links, caps = state.g.link_by_id, state.g.node_capacity
+        fits = all(
+            state.chi[eid] + val <= links[eid].capacity + capacity_slack(links[eid].capacity)
+            for eid, val in link_delta.items()
+        ) and all(
+            val <= state.residual_node[v] + capacity_slack(caps[v])
+            for v, val in node_delta.items()
+        )
+        reason = "" if fits else "capacity"
+    accepted = not reason
+    if accepted:
+        for eid, val in link_delta.items():
+            state.chi[eid] += val
+            util = state.chi[eid] / state.g.link_by_id[eid].capacity
+            if util > state.r_current:
+                state.r_current = util
+        for v, val in node_delta.items():
+            state.residual_node[v] -= val
+        state.accepted_count += 1
+    else:
+        allocations, link_delta, node_delta = {}, {}, {}
     state.events.append(
         EventRecord(
             demand_id=d.id,

@@ -17,8 +17,14 @@ from .model import Link, NfviGraph, ServiceDemand
 
 INF = math.inf
 
-# absolute slack used when comparing float rates assembled through splits
+# slack used when comparing float rates assembled through splits
 RATE_TOL = 1e-9
+
+
+def capacity_slack(c: float) -> float:
+    """The capacity rule's slack: a load fits capacity c when it is at most
+    c + capacity_slack(c), so the slack grows with c above 1."""
+    return RATE_TOL * max(1.0, c)
 
 
 def unit_weights(g: NfviGraph) -> dict[str, int]:
@@ -242,21 +248,19 @@ def select_waypoints(
 
 def route_demand_sfc(
     g: NfviGraph,
-    w: dict[str, int],
+    field: ShortestPathField,
     d: ServiceDemand,
     amount: float | None = None,
-    field: ShortestPathField | None = None,
     allowed_hosts: set[str] | None = None,
 ) -> FlowAllocation | None:
     """Route a demand through its function chain as concatenated equal-split
-    segments.  Returns None (a rejection, not an error) when no feasible
-    sequence of hosting nodes exists or the destination is unreachable."""
+    segments over ``field``.  Returns None (a rejection, not an error) when
+    no feasible sequence of hosting nodes exists or the destination is
+    unreachable."""
     if amount is None:
         amount = d.volume
     if amount < 0:
         raise ValidationError([f"negative traffic amount {amount}"])
-    if field is None:
-        field = shortest_path_field(g, w)
     if amount == 0:
         return FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
     waypoints = select_waypoints(g, field, d, allowed_hosts)
@@ -282,10 +286,10 @@ class UtilizationReport:
     per_link: dict[str, float]
     node_usage: dict[str, float]
 
-    def over_capacity_nodes(self, g: NfviGraph, tol: float = RATE_TOL) -> list[str]:
+    def over_capacity_nodes(self, g: NfviGraph) -> list[str]:
         return [
             v for v, used in self.node_usage.items()
-            if used > g.node_capacity[v] + tol * max(1.0, g.node_capacity[v])
+            if used > g.node_capacity[v] + capacity_slack(g.node_capacity[v])
         ]
 
 
@@ -379,11 +383,14 @@ def _route_demands(
     field = shortest_path_field(g, w)
     chi: dict[str, float] = {e.id: 0.0 for e in g.links}
     usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
+    # largest load each link and node takes under the capacity rule
+    link_limit = {e.id: e.capacity + capacity_slack(e.capacity) for e in g.links}
+    node_limit = {v: c + capacity_slack(c) for v, c in g.node_capacity.items()}
     committed: list[FlowAllocation] = []
     accepted: list[int] = []
     rejected: list[int] = []
     for d in demands:
-        alloc = route_demand_sfc(g, w, d, field=field)
+        alloc = route_demand_sfc(g, field, d)
         if alloc is None:
             if not gate:
                 return None
@@ -392,12 +399,8 @@ def _route_demands(
         delta_usage = _alloc_node_usage(alloc, g)
         if gate:
             fits = all(
-                chi[eid] + val <= g.link_by_id[eid].capacity + RATE_TOL
-                for eid, val in alloc.link_flow.items()
-            ) and all(
-                usage[v] + val <= g.node_capacity[v] + RATE_TOL * max(1.0, g.node_capacity[v])
-                for v, val in delta_usage.items()
-            )
+                chi[eid] + val <= link_limit[eid] for eid, val in alloc.link_flow.items()
+            ) and all(usage[v] + val <= node_limit[v] for v, val in delta_usage.items())
             if not fits:
                 rejected.append(d.id)
                 continue

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from orbitlb.errors import ValidationError
@@ -86,3 +88,8 @@ def test_schedule_validation():
         AnnealingSchedule(iterations_per_level=-1)
     with pytest.raises(ValidationError):
         AnnealingSchedule(stop_temperature=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            AnnealingSchedule(initial_temperature=bad)
+        with pytest.raises(ValidationError):
+            AnnealingSchedule(stop_temperature=bad)

@@ -165,6 +165,16 @@ BAD_VALUES = [("--kappa", "0"), ("--kappa", "2,x"), ("--epsilon", "0.5"),
         ("sweep", "--oracle-prefix", "-5"),
         ("sweep", "--epsilon", "nan"),
         ("sweep", "--epsilon", "inf"),
+    ]
+    + [
+        ("compare", flag, value)
+        for flag, value in [
+            ("--sa-t0", "0"), ("--sa-t0", "inf"), ("--sa-t0", "nan"),
+            ("--sa-stop", "-1"), ("--sa-stop", "nan"),
+            ("--sa-cooling", "2"), ("--sa-cooling", "1"), ("--sa-cooling", "0"),
+            ("--sa-cooling", "nan"),
+            ("--sa-iterations", "-1"), ("--sa-iterations", "1.5"),
+        ]
     ],
 )
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(

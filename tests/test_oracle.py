@@ -51,10 +51,13 @@ def test_guard_refuses_large_enumerations():
     d = ServiceDemand(0, "v0", "v24", 1.0, ())
     with pytest.raises(OracleGuardError) as exc:
         exact_oracle(g, [d], w_max=2)  # 2^24 > 10^7
-    assert "force" in str(exc.value)
+    assert (exc.value.combinations, exc.value.limit) == (2**24, 10**7)
+    assert str(exc.value) == (
+        "enumeration of 16777216 weight vectors exceeds the guard limit of 10000000"
+    )
 
 
-def test_force_overrides_guard(monkeypatch):
+def test_raised_guard_runs_and_log_limit_truncates(monkeypatch):
     import orbitlb.oracle as oracle_mod
 
     monkeypatch.setattr(oracle_mod, "GUARD_LIMIT", 8)
@@ -62,11 +65,11 @@ def test_force_overrides_guard(monkeypatch):
     d = ServiceDemand(0, "v0", "v2", 1.0, ())
     with pytest.raises(OracleGuardError):
         exact_oracle(g, [d], w_max=3)  # 9 combos > tightened guard
-    result = exact_oracle(g, [d], w_max=3, force=True, log_limit=4)
+    monkeypatch.setattr(oracle_mod, "GUARD_LIMIT", 9)
+    result = exact_oracle(g, [d], w_max=3, log_limit=4)
     assert result.best_r == 0.1
     assert result.combinations == 9
-    assert result.log_truncated
-    assert len(result.log) == 4
+    assert [e.w for e in result.log] == [(1, 1), (1, 2), (1, 3), (2, 1)]
 
 
 def test_unroutable_demand_logs_nan():

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from orbitlb.errors import ValidationError
+from orbitlb.errors import PartitionError, ValidationError
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import exact_oracle
 from orbitlb.orbit import (
@@ -118,11 +119,11 @@ def test_no_eligible_group_rejects_but_keeps_bookkeeping():
 def test_capacity_rejection_keeps_fractions_and_residuals():
     g = two_pair_graph()
     state = OrbitState(g, two_pair_partitioning(epsilon=1.0))
-    before_link = dict(state.residual_link)
     decision = process_demand(state, ServiceDemand(0, "a1", "a2", 100.0, ()))
     assert not decision.accepted
     assert decision.reason == "capacity"
-    assert state.residual_link == before_link
+    assert set(state.chi.values()) == {0.0}
+    assert state.residual_node == g.node_capacity
     assert state.zeta[0] >= 1  # sweeps persist
     assert sum(state.z) >= 1.0
     # a small follow-up needs no further sweeps and is admitted
@@ -363,3 +364,59 @@ def test_single_group_with_oracle_weights_matches_offline_utilization():
         assert state.acceptance_ratio() == 1.0
         assert state.max_utilization() == pytest.approx(oracle.best_r, abs=1e-9)
         trials += 1
+
+
+# sha256 of every events_csv() of saturating_corpus(), taken before the
+# link check read chi and the capacity rule's slack moved into routing
+SATURATING_CORPUS_SHA256 = "68b8a4fe03ccdbee0a573359f4d29a5dfee2872ad3c8b02bf2ef8efca03cedd7"
+
+
+def saturating_corpus(count: int = 200):
+    """Seeded instances whose node budgets fill up: rings plus chords of
+    4-14 nodes, fractional link and node capacities, costs and volumes, few
+    hosts, chains of 0-2 functions and 30-80 demands each."""
+    rng = random.Random(2024)
+    fns = ("fw", "nat", "dpi")
+    for _ in range(count):
+        n = rng.randint(4, 14)
+        names = [f"n{i}" for i in range(n)]
+        links = []
+        for i in range(n):
+            cap = rng.choice((0.7, 1.0, 1.3, 2.0, 3.0, 10.0))
+            links.append(Link(f"e{i}a", names[i], names[(i + 1) % n], cap))
+            links.append(Link(f"e{i}b", names[(i + 1) % n], names[i], cap))
+        for k in range(rng.randint(0, n)):
+            u, v = rng.sample(names, 2)
+            links.append(Link(f"c{k}", u, v, rng.choice((0.7, 1.0, 1.3, 2.0, 3.0, 10.0))))
+        nodes = {v: rng.choice((0.5, 1.0, 2.5, 3.0)) for v in names}
+        hosts = [(v, f) for v in names for f in fns if rng.random() < 0.25]
+        costs = {key: rng.choice((0.1, 1 / 3, 0.5, 1.0)) for key in hosts}
+        g = NfviGraph(nodes, links, fns, hosts, costs)
+        demands = DemandStream(tuple(
+            ServiceDemand(
+                i, *rng.sample(names, 2), rng.choice((0.1, 0.2, 1 / 3, 0.7, 1.0)),
+                tuple(rng.sample(fns, rng.randint(0, 2))),
+            )
+            for i in range(rng.randint(30, 80))
+        ))
+        w = {e.id: rng.randint(1, 3) for e in g.links}
+        kappa, eps = rng.choice((1, 2, 3)), rng.choice((1.0, 2.0))
+        try:
+            part = partition(g, kappa, eps)
+        except PartitionError:
+            continue
+        yield g, run_stream(g, demands, part, w)
+
+
+def test_event_logs_where_node_budgets_saturate_are_pinned():
+    digest = hashlib.sha256()
+    runs = saturated = rejected = 0
+    for g, state in saturating_corpus():
+        runs += 1
+        saturated += sum(
+            left <= 1e-9 * max(1.0, g.node_capacity[v]) for v, left in state.residual_node.items()
+        )
+        rejected += sum(ev.reason == "capacity" for ev in state.events)
+        digest.update(state.events_csv().encode())
+    assert runs > 120 and saturated > 15 and rejected > 1000
+    assert digest.hexdigest() == SATURATING_CORPUS_SHA256

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlb.errors import RoutingError, ValidationError
-from orbitlb.model import Link, NfviGraph, ServiceDemand
+from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
+from orbitlb.orbit import run_stream
+from orbitlb.partition import Partition, Partitioning
 from orbitlb.routing import (
     RATE_TOL,
     FlowAllocation,
@@ -336,7 +338,7 @@ def test_chained_route_fills_only_waypoint_targets(monkeypatch):
     w = {e.id: rng.randint(1, 4) for e in g.links}
     filled = record_fills(monkeypatch)
     d = ServiceDemand(0, "n0", "n5", 2.0, fns)
-    alloc = route_demand_sfc(g, w, d, field=shortest_path_field(g, w))
+    alloc = route_demand_sfc(g, shortest_path_field(g, w), d)
     assert alloc is not None
     wp = alloc.waypoints
     expected = {b for a, b in zip(wp, wp[1:]) if a != b} | {d.dst}
@@ -347,7 +349,7 @@ def test_chained_route_fills_only_waypoint_targets(monkeypatch):
 def test_route_demand_through_chain_counts_revisited_links():
     g = host_graph()
     d = ServiceDemand(0, "a", "d", 2.0, ("fw",))
-    alloc = route_demand_sfc(g, unit_weights(g), d)
+    alloc = route_demand_sfc(g, shortest_path_field(g, unit_weights(g)), d)
     assert alloc is not None
     assert alloc.waypoints == ("a", "b", "d")
     assert alloc.link_flow == {"ab": 2.0, "bc": 2.0, "cd": 2.0}
@@ -356,7 +358,7 @@ def test_route_demand_through_chain_counts_revisited_links():
 def test_route_demand_zero_volume_trivially_accepts():
     g = host_graph()
     d = ServiceDemand(0, "a", "d", 0.0, ("fw",))
-    alloc = route_demand_sfc(g, unit_weights(g), d)
+    alloc = route_demand_sfc(g, shortest_path_field(g, unit_weights(g)), d)
     assert alloc is not None
     assert alloc.link_flow == {}
 
@@ -364,7 +366,7 @@ def test_route_demand_zero_volume_trivially_accepts():
 def test_route_demand_without_host_rejects():
     g = host_graph()
     d = ServiceDemand(0, "a", "d", 1.0, ("nat",))
-    assert route_demand_sfc(g, unit_weights(g), d) is None
+    assert route_demand_sfc(g, shortest_path_field(g, unit_weights(g)), d) is None
 
 
 def test_utilization_report_on_diamond(diamond):
@@ -379,7 +381,7 @@ def test_utilization_report_on_diamond(diamond):
 def test_node_usage_counts_capable_nodes_by_inflow():
     g = host_graph()
     d = ServiceDemand(0, "a", "d", 2.0, ("fw",))
-    alloc = route_demand_sfc(g, unit_weights(g), d)
+    alloc = route_demand_sfc(g, shortest_path_field(g, unit_weights(g)), d)
     report = max_link_utilization([alloc], g)
     # both hosts see inflow 2; only b prices fw (cost 2), c is free
     assert report.node_usage["b"] == 4.0
@@ -427,7 +429,7 @@ def test_node_usage_at_link_heads_equals_a_full_scan():
             # repeated functions too: a node may host several positions
             chain = tuple(rng.choice(g.vnf_catalog) for _ in range(rng.randint(0, 3)))
             d = ServiceDemand(d.id, d.src, d.dst, rng.choice([1.0, 2.7, 0.3]), chain)
-            allocs.append(route_demand_sfc(g, w, d, field=field))
+            allocs.append(route_demand_sfc(g, field, d))
             # and arbitrary fractional flows, where inflow sums are inexact
             flows = {e.id: rng.choice([0.1, 0.2, 0.3, 0.7]) for e in g.links if rng.random() < 0.6}
             allocs.append(FlowAllocation(d.id, (d.src, d.dst), chain, flows))
@@ -470,6 +472,26 @@ def test_route_stream_rejects_over_capacity(diamond):
     assert result.accepted_ids == (0,)
     assert result.rejected_ids == (1,)
     assert result.acceptance_ratio == 0.5
+
+
+def test_stream_gate_admits_an_exact_fill_of_a_large_link():
+    """Three demands fill a capacity-1e8 link: their float sum overshoots by
+    1.49e-8, one ulp at that size and more than an absolute 1e-9.  The
+    capacity rule's slack is relative, so route_stream admits all three, as
+    ORBIT does; a real overload is still rejected."""
+    g = NfviGraph({"s": 1.0, "t": 1.0}, (Link("st", "s", "t", 1e8),))
+    volumes = [25234342.79086951, 14091892.21998519, 60673764.98914531, 1.0]
+    demands = [ServiceDemand(i, "s", "t", vol, ()) for i, vol in enumerate(volumes)]
+    assert sum(volumes[:3]) - 1e8 == pytest.approx(1.49e-8, rel=0.01)
+    result = route_stream(g, unit_weights(g), demands)
+    assert result.accepted_ids == (0, 1, 2)
+    assert result.rejected_ids == (3,)
+    one_group = Partitioning(
+        (Partition(0, frozenset(g.nodes), ("st",), 1.0),),
+        kappa=1, epsilon=1.0, seed=0, size_bound=2.0,
+    )
+    events = run_stream(g, DemandStream(tuple(demands)), one_group).events
+    assert [ev.decision for ev in events] == ["accepted"] * 3 + ["rejected"]
 
 
 def test_route_all_ignores_capacity(diamond):
