@@ -1,0 +1,175 @@
+"""Record benchmark runs as labelled points in BENCH_<tag>.json.
+
+    python3 scripts/bench_record.py --tag pr10 --workload online_scaled \\
+        --seeds 63,64,65,66,67 --seconds 36 --side parent=../parent --side change=.
+
+Each ``--side LABEL=DIR`` names a checkout of this repository.  For every
+workload and seed, each side runs
+``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
+its own directory; the sides alternate which runs first from one seed to
+the next, so a drift in machine speed falls on both.  Each side then
+appends one point to ``BENCH_<tag>.json`` in the current directory.  A
+point holds:
+
+- ``label``, ``commit`` (``-dirty`` when ``src/`` or ``perfbench/`` differ
+  from it) and ``src_sha256`` over ``src/orbitlb/*.py``;
+- ``python`` and ``machine`` (platform and CPU count);
+- ``src_lines``, the line count of ``src/orbitlb/*.py``;
+- per workload: the seeds, the run length, ``attempted``/``failed`` summed
+  over the runs, the digests of each seed, and the median, quartiles, IQR
+  and per-seed values of every end-to-end metric.
+
+Exit status is 0 when every run printed a result, 1 otherwise (nothing is
+written then).
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """The (report, result) pair from a run's output: the last line is the
+    result and the line before it the report, both JSON objects."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if len(lines) < 2:
+        raise ValueError("run printed no report and result lines")
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) of ``values``, inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarise(runs: dict[int, str]) -> dict:
+    """One workload's entry of a point from the outputs of its runs, keyed
+    by seed."""
+    seeds = sorted(runs)
+    parsed = {seed: parse_run(runs[seed]) for seed in seeds}
+    metrics: dict[str, dict] = {}
+    for name, first in parsed[seeds[0]][1]["metrics"].items():
+        values = [parsed[seed][1]["metrics"][name]["value"] for seed in seeds]
+        q1, median, q3 = quartiles(values)
+        metrics[name] = {
+            "unit": first["unit"],
+            "median": median,
+            "q1": q1,
+            "q3": q3,
+            "iqr": q3 - q1,
+            "values": values,
+        }
+    return {
+        "seeds": seeds,
+        "attempted": sum(result["attempted"] for _, result in parsed.values()),
+        "failed": sum(result["failed"] for _, result in parsed.values()),
+        "digests": {str(seed): parsed[seed][0].get("digests") for seed in seeds},
+        "metrics": metrics,
+    }
+
+
+def checkout_identity(root: str) -> dict:
+    """The commit of ``root`` and the digest and line count of its
+    ``src/orbitlb`` sources."""
+    def git(*args: str) -> str:
+        out = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else ""
+
+    commit = git("rev-parse", "HEAD") or "unknown"
+    if git("status", "--porcelain", "--", "src", "perfbench"):
+        commit += "-dirty"
+    digest = hashlib.sha256()
+    lines = 0
+    for path in sorted(glob.glob(os.path.join(root, "src", "orbitlb", "*.py"))):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest.update(data)
+        lines += len(data.splitlines())
+    return {"commit": commit, "src_sha256": digest.hexdigest(), "src_lines": lines}
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> str:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                         timeout=seconds * 4 + 300)
+    if out.returncode != 0:
+        raise RuntimeError(f"{root}: {' '.join(cmd[1:])} exited {out.returncode}:\n{out.stderr[-2000:]}")
+    return out.stdout
+
+
+def seed_list(text: str) -> list[int]:
+    try:
+        seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"expected distinct seeds, got {text!r}")
+    return seeds
+
+
+def side(text: str) -> tuple[str, str]:
+    label, sep, root = text.partition("=")
+    if not sep or not label or not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
+        raise argparse.ArgumentTypeError(f"expected LABEL=DIR of a checkout, got {text!r}")
+    return label, os.path.abspath(root)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tag", required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", type=seed_list, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--side", type=side, action="append", required=True)
+    args = parser.parse_args(argv)
+    sides = dict(args.side)
+    outputs: dict[str, dict[str, dict[int, str]]] = {label: {} for label in sides}
+    try:
+        for workload in args.workload:
+            for k, seed in enumerate(args.seeds):
+                labels = list(sides) if k % 2 == 0 else list(reversed(sides))
+                for label in labels:
+                    stdout = run_once(sides[label], workload, seed, args.seconds)
+                    outputs[label].setdefault(workload, {})[seed] = stdout
+                    print(f"{workload} seed {seed} {label}: {parse_run(stdout)[1]}", file=sys.stderr)
+    except (RuntimeError, ValueError, subprocess.TimeoutExpired) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    path = f"BENCH_{args.tag}.json"
+    doc = {"tag": args.tag, "points": []}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    machine = f"{platform.platform()}; {os.cpu_count()} CPUs"
+    for label, root in sides.items():
+        workloads = {
+            name: dict(summarise(runs), seconds=args.seconds)
+            for name, runs in outputs[label].items()
+        }
+        doc["points"].append({
+            "label": label,
+            **checkout_identity(root),
+            "python": platform.python_version(),
+            "machine": machine,
+            "workloads": workloads,
+        })
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

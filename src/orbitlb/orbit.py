@@ -109,7 +109,7 @@ class OrbitState:
         self.events: list[EventRecord] = []
         self.accepted_count: int = 0
         self.processed_count: int = 0
-        self._subgraphs: dict[tuple[int, str, str], ShortestPathField | None] = {}
+        self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
 
     def max_utilization(self) -> float:
         """max(chi/capacity) rescanned over every link; equals r_current."""
@@ -151,11 +151,13 @@ def _route_share(
     demand's endpoints; each ramp is every link on a shortest path between
     the endpoint and the group's closest member, ties by id.  Hosts are
     group members with compute left.  None when the group is unreachable
-    from the source, cannot reach the destination, or has no route."""
+    from the source, cannot reach the destination, or has no route.  Fields
+    are cached per (group, source, destination) with a member endpoint as
+    None: weights are >= 1, so a member is its own unique closest member."""
     if amount == 0:
         return FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
-    key = (i, d.src, d.dst)
     part = state.part.parts[i]
+    key = (i, None if d.src in part.nodes else d.src, None if d.dst in part.nodes else d.dst)
     if key not in state._subgraphs:
         from_src = state.field.from_source(d.src)
         to_dst = state.field.to_target(d.dst)

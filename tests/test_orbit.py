@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitlb import orbit
 from orbitlb.errors import PartitionError, ValidationError
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import exact_oracle
@@ -420,3 +421,40 @@ def test_event_logs_where_node_budgets_saturate_are_pinned():
         digest.update(state.events_csv().encode())
     assert runs > 120 and saturated > 15 and rejected > 1000
     assert digest.hexdigest() == SATURATING_CORPUS_SHA256
+
+
+def test_member_endpoints_share_one_share_field(monkeypatch):
+    """A member endpoint adds no ramp, so demands that differ only in which
+    member they start or end at reuse one cached share field, and the run
+    matches one whose fields are all built fresh."""
+    rng = random.Random(10)
+    fns = ("fw", "nat")
+    g = random_connected_graph(rng, max_nodes=12, min_nodes=12, capacity_choices=(100.0, 200.0))
+    hosts = [(v, f) for v in sorted(g.nodes) for f in fns if rng.random() < 0.4]
+    g = NfviGraph({v: 60.0 for v in g.nodes}, g.links, fns, hosts, {h: 0.5 for h in hosts})
+    demands = [
+        ServiceDemand(
+            i, *rng.sample(sorted(g.nodes), 2), float(rng.randint(1, 4)),
+            tuple(rng.sample(fns, rng.randint(0, 2))),
+        )
+        for i in range(300)
+    ]
+    w = {e.id: rng.randint(1, 3) for e in g.links}
+    part = partition(g, 3, 1.5)
+    lookups = set()
+    route_share = orbit._route_share
+
+    def recording(state, i, d, amount):
+        if state is cached and amount != 0:
+            lookups.add((i, d.src, d.dst))
+        return route_share(state, i, d, amount)
+
+    monkeypatch.setattr(orbit, "_route_share", recording)
+    cached, fresh = OrbitState(g, part, w), OrbitState(g, part, w)
+    for d in demands:
+        fresh._subgraphs.clear()
+        assert process_demand(cached, d) == process_demand(fresh, d)
+    assert cached.events_csv() == fresh.events_csv()
+    assert cached.chi == fresh.chi and cached.residual_node == fresh.residual_node
+    assert 0 < cached.accepted_count < len(demands)
+    assert len(cached._subgraphs) < len(lookups)
