@@ -5,7 +5,9 @@ moves by +1 or -1 (clamped to stay at least 1) per step.  A vector's energy
 is the max link utilization of the greedily admitted stream plus 1.0 for
 every rejected demand, so one scalar drives both utilization and acceptance.
 Moves are accepted by the Metropolis rule; the best vector ever visited is
-returned, so the result never regresses as the schedule lengthens.
+returned, so the result never regresses as the schedule lengthens.  Each
+trial is routed with the current vector's result as ``prev``, so only the
+demands a move touches are routed again.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def simulated_annealing(
                 continue
             trial_w = dict(current_w)
             trial_w[eid] = proposed
-            trial_result = route_stream(g, trial_w, demands)
+            trial_result = route_stream(g, trial_w, demands, current_result)
             trial_e = _energy(trial_result)
             delta = trial_e - current_e
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):

@@ -67,9 +67,11 @@ def exact_oracle(
     best_w: tuple[int, ...] | None = None
     best_r: float | None = None
     log: list[OracleEntry] = []
+    result = None
     for combo in itertools.product(range(1, w_max + 1), repeat=len(link_ids)):
         w = dict(zip(link_ids, combo))
-        result = route_all(g, w, demands)
+        # the previous vector differs in the last links only
+        result = route_all(g, w, demands, result)
         if result is None:
             feasible = False
             r = math.nan

@@ -8,6 +8,7 @@ over all such outgoing links.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -141,6 +142,106 @@ class ShortestPathField:
                 key=lambda v: (-dist[v], v),
             )
         return order
+
+    def _carry(self, prev: ShortestPathField) -> _Moves:
+        """Take over the fills of ``prev``, an unmasked field of the same
+        graph under other weights, and report what moved.
+
+        A target's distances d stay exact when w[e] + d[j] >= d[i] on every
+        changed link e=(i,j), since unchanged links still satisfy it and so
+        d never exceeds the new distances; and when every changed link's
+        tail with finite d keeps a tight out-link, since only changed links
+        lose tightness, so following tight links from any node reaches the
+        target in exactly d.  Then only those tails' tight lists are rebuilt.
+        A source's distances are kept by the mirror argument over in-links.
+        A fill that fails either test is redone."""
+        g, w = self._g, self._w
+        changed = [e for e in g.links if w[e.id] != prev._w[e.id]]
+        moves = _Moves()
+        for t, d in prev._dist.items():
+            out = prev._out[t]
+            kept = self._hold_to(t, d, out, changed)
+            if kept is None:
+                new = self._fill(t)
+                new_out = self._out[t]
+                moved = {v for v, dv in new.items() if dv != d[v]}
+                relisted = {v for v in new if new_out.get(v) != out.get(v)}
+            else:
+                self._dist[t], self._out[t], relisted = d, kept[0], kept[1]
+                moved = set()
+                if t in prev._order:
+                    self._order[t] = prev._order[t]
+            moves.dist[t], moves.relisted[t] = moved, relisted
+            if not (moved or relisted):
+                moves.still_to.add(t)
+        for s, f in prev._from.items():
+            if self._holds_from(s, f, changed):
+                self._from[s] = f
+                moved = set()
+            else:
+                new = self.from_source(s)
+                moved = {v for v, fv in new.items() if fv != f[v]}
+            moves.from_source[s] = moved
+            if not moved:
+                moves.still_from.add(s)
+        return moves
+
+    def _hold_to(
+        self, t: str, d: dict[str, float], out: dict[str, list[Link]], changed: list[Link]
+    ) -> tuple[dict[str, list[Link]], set[str]] | None:
+        """(tight lists, relisted nodes) of target t when its old distances
+        d still hold under this field's weights, else None."""
+        w = self._w
+        tails: dict[str, float] = {}
+        for e in changed:
+            di = d[e.src]
+            if di == INF:
+                continue
+            if w[e.id] + d[e.dst] < di:
+                return None
+            if e.src != t:
+                tails[e.src] = di
+        relisted: set[str] = set()
+        for i, di in tails.items():
+            tight = [x for x in self._g.out_links[i] if w[x.id] + d[x.dst] == di]
+            if not tight:
+                return None
+            if tight != out.get(i):
+                if not relisted:
+                    out = dict(out)
+                out[i] = tight
+                relisted.add(i)
+        return out, relisted
+
+    def _holds_from(self, s: str, f: dict[str, float], changed: list[Link]) -> bool:
+        """Whether source s's old distances f still hold under this field's
+        weights."""
+        w = self._w
+        heads: set[str] = set()
+        for e in changed:
+            fi = f[e.src]
+            if fi == INF:
+                continue
+            if fi + w[e.id] < f[e.dst]:
+                return False
+            if e.dst != s:
+                heads.add(e.dst)
+        in_links = self._g.in_links
+        return all(any(f[x.src] + w[x.id] == f[j] for x in in_links[j]) for j in heads)
+
+
+@dataclass
+class _Moves:
+    """What moved from one field to the next, per carried fill: nodes whose
+    distance to (``dist``) or from (``from_source``) it changed, and nodes
+    whose tight list toward it changed (``relisted``); ``still_to`` and
+    ``still_from`` name the fills where nothing did."""
+
+    dist: dict[str, set[str]] = dataclasses.field(default_factory=dict)
+    relisted: dict[str, set[str]] = dataclasses.field(default_factory=dict)
+    from_source: dict[str, set[str]] = dataclasses.field(default_factory=dict)
+    still_to: set[str] = dataclasses.field(default_factory=set)
+    still_from: set[str] = dataclasses.field(default_factory=set)
 
 
 def shortest_path_field(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
@@ -346,6 +447,22 @@ def _report(g: NfviGraph, chi: dict[str, float], usage: dict[str, float]) -> Uti
 
 
 @dataclass
+class _Routed:
+    """One demand's routing under one field, kept for the next weight
+    vector: its allocation and node usage; per waypoint segment, the target
+    and the nodes other than it that may pass flow toward it, in the order
+    _split_segment visits them; and the targets and sources whose fills
+    the routing read."""
+
+    demand: ServiceDemand
+    alloc: FlowAllocation
+    usage: dict[str, float]
+    segments: tuple[tuple[str, tuple[str, ...]], ...]
+    targets: frozenset[str]
+    sources: frozenset[str]
+
+
+@dataclass
 class StreamResult:
     """Outcome of routing a whole demand sequence against fixed weights."""
 
@@ -353,6 +470,10 @@ class StreamResult:
     rejected_ids: tuple[int, ...]
     report: UtilizationReport
     allocations: tuple[FlowAllocation, ...]
+    # what a later call may reuse: the field and each demand's routing in
+    # arrival order, None where it was unroutable
+    _field: ShortestPathField | None = dataclasses.field(default=None, repr=False, compare=False)
+    _routed: tuple[_Routed | None, ...] = dataclasses.field(default=(), repr=False, compare=False)
 
     @property
     def acceptance_ratio(self) -> float:
@@ -360,50 +481,64 @@ class StreamResult:
         return 1.0 if total == 0 else len(self.accepted_ids) / total
 
 
-def route_stream(g: NfviGraph, w: dict[str, int], demands) -> StreamResult:
+def route_stream(
+    g: NfviGraph, w: dict[str, int], demands, prev: StreamResult | None = None
+) -> StreamResult:
     """Route demands in order with capacity admission: commit each routable
     demand whose added load keeps every link within bandwidth and every node
-    within compute, rejecting the rest."""
-    return _route_demands(g, w, demands, gate=True)
+    within compute, rejecting the rest.
+
+    ``prev``, the result of routing the same demands on ``g`` under nearby
+    weights, lets unchanged demand routings be reused; the result is the
+    same as without it."""
+    return _route_demands(g, w, demands, True, prev)
 
 
-def route_all(g: NfviGraph, w: dict[str, int], demands) -> StreamResult | None:
+def route_all(
+    g: NfviGraph, w: dict[str, int], demands, prev: StreamResult | None = None
+) -> StreamResult | None:
     """Route every demand with no capacity gate; None when any demand is
     unroutable.  The report may show utilizations above 1, which callers
-    judging joint feasibility (exhaustive weight search) inspect."""
-    return _route_demands(g, w, demands, gate=False)
+    judging joint feasibility (exhaustive weight search) inspect.  ``prev``
+    is as for route_stream."""
+    return _route_demands(g, w, demands, False, prev)
 
 
 def _route_demands(
-    g: NfviGraph, w: dict[str, int], demands, gate: bool
+    g: NfviGraph, w: dict[str, int], demands, gate: bool, prev: StreamResult | None
 ) -> StreamResult | None:
     """The loop behind route_stream (``gate``: reject unroutable or
     overloading demands) and route_all (no gate; None on the first
     unroutable demand)."""
     field = shortest_path_field(g, w)
+    moves, old = _Moves(), ()
+    if prev is not None and prev._field is not None and prev._field._g is g:
+        moves, old = field._carry(prev._field), prev._routed
     chi: dict[str, float] = {e.id: 0.0 for e in g.links}
     usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
     # largest load each link and node takes under the capacity rule
     link_limit = {e.id: e.capacity + capacity_slack(e.capacity) for e in g.links}
     node_limit = {v: c + capacity_slack(c) for v, c in g.node_capacity.items()}
+    routed: list[_Routed | None] = []
     committed: list[FlowAllocation] = []
     accepted: list[int] = []
     rejected: list[int] = []
-    for d in demands:
-        alloc = route_demand_sfc(g, field, d)
-        if alloc is None:
+    for k, d in enumerate(demands):
+        rec = old[k] if k < len(old) else None
+        if rec is None or not (
+            (rec.demand is d or rec.demand == d) and _still_holds(g, field, moves, rec)
+        ):
+            rec = _route(g, field, d)
+        routed.append(rec)
+        if rec is None:
             if not gate:
                 return None
             rejected.append(d.id)
             continue
-        delta_usage = _alloc_node_usage(alloc, g)
-        if gate:
-            fits = all(
-                chi[eid] + val <= link_limit[eid] for eid, val in alloc.link_flow.items()
-            ) and all(usage[v] + val <= node_limit[v] for v, val in delta_usage.items())
-            if not fits:
-                rejected.append(d.id)
-                continue
+        alloc, delta_usage = rec.alloc, rec.usage
+        if gate and not _fits(chi, link_limit, alloc.link_flow, usage, node_limit, delta_usage):
+            rejected.append(d.id)
+            continue
         _add_load(chi, usage, alloc, delta_usage)
         committed.append(alloc)
         accepted.append(d.id)
@@ -412,7 +547,108 @@ def _route_demands(
         rejected_ids=tuple(rejected),
         report=_report(g, chi, usage),
         allocations=tuple(committed),
+        _field=field,
+        _routed=tuple(routed),
     )
+
+
+def _fits(
+    chi: dict[str, float],
+    link_limit: dict[str, float],
+    link_flow: dict[str, float],
+    usage: dict[str, float],
+    node_limit: dict[str, float],
+    delta_usage: dict[str, float],
+) -> bool:
+    """Whether adding one allocation keeps every link and node within its
+    limit."""
+    for eid, val in link_flow.items():
+        if not chi[eid] + val <= link_limit[eid]:
+            return False
+    for v, val in delta_usage.items():
+        if not usage[v] + val <= node_limit[v]:
+            return False
+    return True
+
+
+def _route(g: NfviGraph, field: ShortestPathField, d: ServiceDemand) -> _Routed | None:
+    """Route d from scratch; None when it is unroutable."""
+    alloc = route_demand_sfc(g, field, d)
+    if alloc is None:
+        return None
+    wp = alloc.waypoints
+    segments: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    sources: tuple[str, ...] = ()
+    # a zero volume is routed without reading the field
+    if d.volume != 0:
+        segments = tuple((b, _reached(field, a, b)) for a, b in zip(wp, wp[1:]) if a != b)
+        # select_waypoints scored hosts by their distances from each
+        # waypoint but the last two and to the destination
+        sources = wp[: len(d.chain)]
+    targets = {b for b, _ in segments}
+    if sources:
+        targets.add(d.dst)
+    usage = _alloc_node_usage(alloc, g)
+    return _Routed(d, alloc, usage, segments, frozenset(targets), frozenset(sources))
+
+
+def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
+    """a and every node it reaches over tight links toward b, except b, in
+    the order _split_segment visits them: a superset of the nodes that pass
+    on flow from a toward b."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        for e in field.out_links(stack.pop(), b):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return tuple(v for v in field.order(b) if v in seen and v != b)
+
+
+def _still_holds(g: NfviGraph, field: ShortestPathField, moves: _Moves, rec: _Routed) -> bool:
+    """Whether routing rec.demand on ``field`` from scratch would give rec
+    again, bit for bit, judged from what moved since rec's field; every
+    fill rec read was carried over, so ``moves`` covers it.
+
+    A chosen host stays while its score is unchanged and no host whose
+    score moved now ranks before it; when its own score moved, the
+    waypoints are chosen again and must come out the same.  A segment
+    toward b repeats every float operation when each node it visits keeps
+    its tight list toward b and the nodes keep their relative (-dist, id)
+    order."""
+    if rec.targets <= moves.still_to and rec.sources <= moves.still_from:
+        return True
+    d = rec.demand
+    if rec.sources:
+        to_dst = moves.dist[d.dst]
+        wp = rec.alloc.waypoints
+        for k, fn in enumerate(d.chain):
+            from_s = moves.from_source[wp[k]]
+            if not (to_dst or from_s):
+                continue
+            moved = [v for v in g.hosts_of(fn) if v in to_dst or v in from_s]
+            if not moved:
+                continue
+            host = wp[k + 1]
+            if host in moved:
+                if select_waypoints(g, field, d) != wp:
+                    return False
+                break
+            # hosts whose scores did not move still rank after the host
+            from_prev, to_dst_dist = field.from_source(wp[k]), field.to_target(d.dst)
+            key = (from_prev[host] + to_dst_dist[host], host)
+            if any((from_prev[v] + to_dst_dist[v], v) < key for v in moved):
+                return False
+    for b, nodes in rec.segments:
+        if not moves.relisted[b].isdisjoint(nodes):
+            return False
+        if not moves.dist[b].isdisjoint(nodes):
+            dist = field.to_target(b)
+            keys = [(-dist[v], v) for v in nodes]
+            if any(x >= y for x, y in zip(keys, keys[1:])):
+                return False
+    return True
 
 
 def format_number(x: float) -> str:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import pytest
 
 from orbitlb.errors import OracleGuardError
 from orbitlb.model import Link, NfviGraph, ServiceDemand
-from orbitlb.oracle import exact_oracle
-from tests.conftest import chain_graph
+from orbitlb.oracle import OracleEntry, OracleResult, exact_oracle
+from orbitlb.routing import RATE_TOL, route_all
+from tests.conftest import chain_graph, random_connected_graph
 
 
 def test_diamond_optimum_is_exact(diamond, diamond_demand):
@@ -119,3 +122,54 @@ def test_log_csv_shape(diamond, diamond_demand):
     assert lines[0] == "w_vector,feasible,r"
     assert lines[1] == "1 1 1 1,0,2"
     assert len(lines) == 17
+
+
+def reference_oracle(g: NfviGraph, demands: list[ServiceDemand], w_max: int) -> OracleResult:
+    """exact_oracle's enumeration with every vector routed from scratch."""
+    link_ids = list(g.link_ids)
+    log = []
+    best = None
+    for combo in itertools.product(range(1, w_max + 1), repeat=len(link_ids)):
+        result = route_all(g, dict(zip(link_ids, combo)), demands)
+        if result is None:
+            feasible, r = False, math.nan
+        else:
+            r = result.report.r
+            feasible = r <= 1.0 + RATE_TOL and not result.report.over_capacity_nodes(g)
+        log.append(OracleEntry(combo, feasible, r))
+        if feasible and (best is None or r < best[1]):
+            best = (combo, r)
+    return OracleResult(
+        best_w=dict(zip(link_ids, best[0])) if best else None,
+        best_r=best[1] if best else None,
+        combinations=len(log),
+        log=tuple(log),
+    )
+
+
+def hosted_instance(seed: int) -> tuple[NfviGraph, list[ServiceDemand]]:
+    """A 3-node random graph hosting fw, with chained and plain demands;
+    some seeds add a demand for a function no node hosts."""
+    rng = random.Random(seed)
+    base = random_connected_graph(rng, max_nodes=3)
+    names = sorted(base.nodes)
+    caps = [(v, "fw") for v in names if rng.random() < 0.6] or [(names[0], "fw")]
+    g = NfviGraph(base.node_capacity, base.links, ("fw", "lb"), caps, {c: 0.5 for c in caps})
+    demands = []
+    for i in range(rng.randint(1, 4)):
+        src, dst = rng.sample(names, 2)
+        chain = ("fw",) if rng.random() < 0.5 else ()
+        demands.append(ServiceDemand(i, src, dst, float(rng.randint(1, 6)), chain))
+    if rng.random() < 0.2:
+        demands.append(ServiceDemand(len(demands), names[0], names[1], 1.0, ("lb",)))
+    return g, demands
+
+
+def test_reuse_across_vectors_matches_routing_each_from_scratch(diamond, diamond_demand):
+    instances = [(diamond, [diamond_demand], 3)]
+    instances += [(*hosted_instance(seed), 2) for seed in range(20)]
+    for g, demands, w_max in instances:
+        got = exact_oracle(g, demands, w_max)
+        want = reference_oracle(g, demands, w_max)
+        assert got.log_csv() == want.log_csv()
+        assert got.best_w == want.best_w

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbitlb import dataset_path
 from orbitlb.errors import RoutingError, ValidationError
+from orbitlb.fileio import load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
 from orbitlb.orbit import run_stream
 from orbitlb.partition import Partition, Partitioning
@@ -17,6 +21,7 @@ from orbitlb.routing import (
     FlowAllocation,
     ShortestPathField,
     _alloc_node_usage,
+    _split_segment,
     ecmp_dag,
     format_number,
     max_link_utilization,
@@ -217,6 +222,31 @@ def test_flow_conservation_randomized():
                 assert abs(inflow - outflow - amount) <= 1e-9
             else:
                 assert abs(inflow - outflow) <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_split_segment_conserves_flow(gw, data):
+    g, w = gw
+    field = shortest_path_field(g, w)
+    entry = data.draw(st.sampled_from(g.nodes))
+    reach = field.from_source(entry)
+    exits = [v for v in g.nodes if v != entry and reach[v] != INF]
+    assume(exits)
+    exit = data.draw(st.sampled_from(exits))
+    amount = data.draw(st.floats(min_value=1e-3, max_value=1e3))
+    flow = _split_segment(field, entry, exit, amount)
+    inflow = {v: 0.0 for v in g.nodes}
+    outflow = {v: 0.0 for v in g.nodes}
+    for eid, val in flow.items():
+        e = g.link_by_id[eid]
+        outflow[e.src] += val
+        inflow[e.dst] += val
+    assert abs(outflow[entry] - amount) <= RATE_TOL
+    assert abs(inflow[exit] - amount) <= RATE_TOL
+    for v in g.nodes:
+        if v not in (entry, exit):
+            assert abs(inflow[v] - outflow[v]) <= RATE_TOL
 
 
 def test_split_scales_linearly():
@@ -513,3 +543,119 @@ def test_format_number_canonical_forms():
     assert format_number(float("nan")) == "nan"
     assert format_number(float("inf")) == "inf"
     assert format_number(-3.0) == "-3"
+
+
+def assert_same_stream(got, want):
+    """Equal outcomes, allocations and reports, floats bit for bit."""
+    if want is None:
+        assert got is None
+        return
+    assert got.accepted_ids == want.accepted_ids
+    assert got.rejected_ids == want.rejected_ids
+    assert [(a.waypoints, list(a.link_flow.items())) for a in got.allocations] == [
+        (a.waypoints, list(a.link_flow.items())) for a in want.allocations
+    ]
+    assert list(got.report.chi.items()) == list(want.report.chi.items())
+    assert list(got.report.node_usage.items()) == list(want.report.node_usage.items())
+    assert got.report.r == want.report.r
+
+
+@st.composite
+def weight_walks(draw, link_ids: tuple[str, ...]):
+    """A starting weight vector and steps of (link, weight change): single
+    +-1 moves and jumps that change several links at once."""
+    start = {eid: draw(st.integers(1, 4)) for eid in link_ids}
+    single = st.tuples(st.sampled_from(link_ids), st.sampled_from((-1, 1))).map(lambda m: [m])
+    jump = st.lists(st.tuples(st.sampled_from(link_ids), st.integers(-3, 3)), min_size=2, max_size=5)
+    return start, draw(st.lists(st.one_of(single, jump), min_size=1, max_size=8))
+
+
+def walk_against_fresh_routing(g, demands, walk):
+    """Route each step's weights with the previous step's result as prev
+    and from scratch, and require the same results."""
+    w, steps = walk
+    stream = route_stream(g, w, demands)
+    everything = route_all(g, w, demands)
+    for step in steps:
+        w = dict(w)
+        for eid, delta in step:
+            w[eid] = max(1, w[eid] + delta)
+        stream = route_stream(g, w, demands, stream)
+        assert_same_stream(stream, route_stream(g, w, demands))
+        # None after an unroutable stream, so the next step starts afresh
+        everything = route_all(g, w, demands, everything)
+        assert_same_stream(everything, route_all(g, w, demands))
+
+
+@st.composite
+def chained_walks(draw):
+    """A random chained instance, sometimes with a demand whose function
+    has no host, and a weight walk on it."""
+    g, demands = random_chained_instance(random.Random(draw(st.integers(0, 2**32))))
+    if draw(st.booleans()):
+        g = NfviGraph(
+            g.node_capacity, g.links, g.vnf_catalog + ("lb",), g.capability_pairs(), g.vnf_cost
+        )
+        src, dst = sorted(g.nodes)[:2]
+        at = draw(st.integers(0, len(demands)))
+        demands = [
+            ServiceDemand(i, d.src, d.dst, d.volume, d.chain)
+            for i, d in enumerate(demands[:at] + [ServiceDemand(0, src, dst, 1.0, ("lb",))] + demands[at:])
+        ]
+    return g, demands, draw(weight_walks(g.link_ids))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chained_walks())
+def test_routing_with_prev_equals_fresh_routing(instance):
+    g, demands, walk = instance
+    walk_against_fresh_routing(g, demands, walk)
+
+
+@pytest.fixture(scope="module")
+def internet2():
+    g = load_topology(dataset_path("internet2.topo"))
+    return g, list(load_demands(dataset_path("internet2.demands"), g))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_routing_with_prev_equals_fresh_routing_on_internet2(internet2, data):
+    g, demands = internet2
+    walk_against_fresh_routing(g, demands, data.draw(weight_walks(g.link_ids)))
+
+
+def test_chained_results_do_not_keep_their_predecessors():
+    g, demands = random_chained_instance(random.Random(3))
+    rng = random.Random(5)
+    w = unit_weights(g)
+    result = route_stream(g, w, demands)
+    first = weakref.ref(result)
+    for _ in range(50):
+        eid = rng.choice(g.link_ids)
+        w = {**w, eid: max(1, w[eid] + rng.choice((-1, 1)))}
+        result = route_stream(g, w, demands, result)
+    gc.collect()
+    assert first() is None
+
+
+def test_prev_is_not_reused_when_the_visit_order_flips():
+    """a splits over u and v toward b.  Moving one unit of weight from a->u
+    to u->b keeps every tight list but lifts u to v's distance, where the
+    id tie-break puts u first, so the split adds u's and v's links to the
+    allocation in the other order."""
+    nodes = {v: 0.0 for v in "abuv"}
+    links = (
+        Link("au", "a", "u", 10.0),
+        Link("av", "a", "v", 10.0),
+        Link("ub", "u", "b", 10.0),
+        Link("vb", "v", "b", 10.0),
+    )
+    g = NfviGraph(nodes, links)
+    demands = [ServiceDemand(0, "a", "b", 2.0)]
+    before = route_stream(g, {"au": 2, "av": 1, "ub": 1, "vb": 2}, demands)
+    assert list(before.allocations[0].link_flow) == ["au", "av", "vb", "ub"]
+    w = {"au": 1, "av": 1, "ub": 2, "vb": 2}
+    after = route_stream(g, w, demands, before)
+    assert list(after.allocations[0].link_flow) == ["au", "av", "ub", "vb"]
+    assert_same_stream(after, route_stream(g, w, demands))
