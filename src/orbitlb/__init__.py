@@ -35,6 +35,7 @@ from .milp import (
     candidate_from_routing,
     check_solution,
     export_lp,
+    write_lp,
 )
 from .model import DemandStream, Link, NfviGraph, ServiceDemand
 from .oracle import OracleResult, exact_oracle
@@ -117,6 +118,7 @@ __all__ = [
     "split_demand",
     "unit_weights",
     "verify_guarantees",
+    "write_lp",
     "write_text",
 ]
 

@@ -20,7 +20,7 @@ from typing import Callable
 from .annealing import AnnealingSchedule, simulated_annealing
 from .errors import OracleGuardError, OrbitlbError, PartitionError
 from .fileio import load_demands, load_topology, write_text
-from .milp import build_model, export_lp
+from .milp import build_model, write_lp
 from .model import DemandStream, NfviGraph
 from .oracle import exact_oracle
 from .orbit import run_stream, verify_guarantees
@@ -261,8 +261,7 @@ def _run_export(args: argparse.Namespace) -> int:
     g, demands = _load(args)
     model = build_model(g, list(demands), args.pd)
     path = os.path.join(args.out, "model.lp")
-    export_lp(model, path)
-    counts = model.family_counts()
+    counts = write_lp(model, path)
     summary = " ".join(f"{fam}:{counts[fam]}" for fam in sorted(counts, key=lambda f: int(f)))
     print(f"wrote {path} ({len(model.variables)} variables; constraints {summary})")
     return 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 
 from .errors import ParseError, ValidationError
 from .model import (
@@ -175,8 +176,9 @@ def serialize_demands(stream: DemandStream) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_text(path: str, text: str) -> None:
-    """Write with '\\n' endings regardless of platform."""
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write a string, or each string of an iterable in turn, with '\\n'
+    endings regardless of platform."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)

@@ -20,10 +20,11 @@ LP text can express; the relaxation is recorded in the export header.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import RoutingError, ValidationError
+from .fileio import write_text
 from .model import NfviGraph, ServiceDemand
 from .routing import (
     FlowAllocation,
@@ -31,7 +32,6 @@ from .routing import (
     max_link_utilization,
     shortest_path_field,
 )
-from .errors import RoutingError
 
 DELTA = 1e-4
 CHECK_TOL = 1e-9
@@ -52,28 +52,6 @@ class Variable:
     name: str
     kind: str  # "continuous", "integer", "binary"
     lb: float = 0.0
-
-
-@dataclass
-class MilpModel:
-    variables: dict[str, Variable]
-    rows: list[Row]
-    objective: str
-    m_z: float
-    delta: float
-    flows_per_demand: int
-    targets: tuple[str, ...]
-    demand_ids: tuple[int, ...]
-
-    def family_counts(self) -> dict[str, int]:
-        """Constraints per family; the two halves of a two-sided constraint
-        count once."""
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            if row.side == "hi":
-                continue
-            counts[row.family] = counts.get(row.family, 0) + 1
-        return counts
 
 
 class _RowBuilder:
@@ -113,14 +91,193 @@ def _bvar(eid: str, p: int, d: int) -> str:
     return f"b_{eid}_{p}_{d}"
 
 
+@dataclass
+class MilpModel:
+    """The instance, its variables and the model's constants.  Constraint
+    rows are not stored: ``iter_rows`` yields each one as it is built."""
+
+    g: NfviGraph
+    demands: tuple[ServiceDemand, ...]
+    variables: dict[str, Variable]
+    objective: str
+    m_z: float
+    delta: float
+    flows_per_demand: int
+    targets: tuple[str, ...]
+
+    def iter_rows(self) -> Iterator[Row]:
+        """Every constraint row, family by family in the order 1..14.
+
+        The big-M constant is the maximum link capacity.  Distance labels
+        toward a target t exist for nodes v != t; occurrences of the target's
+        own label are the constant 0.
+        """
+        g, demands, targets, m_z = self.g, self.demands, self.targets, self.m_z
+        flows = range(self.flows_per_demand)
+
+        def l_term(b: _RowBuilder, c: float, v: str, t: str) -> None:
+            # the target's own distance label is the constant zero
+            if v != t:
+                b.add(c, _lvar(v, t))
+
+        for d in demands:
+            for v in g.node_capacity:
+                if v in (d.src, d.dst):
+                    continue
+                b = _RowBuilder()
+                for p in flows:
+                    for e in g.out_links.get(v, ()):
+                        b.add(1.0, _xvar(e.id, p, d.id))
+                    for e in g.in_links.get(v, ()):
+                        b.add(-1.0, _xvar(e.id, p, d.id))
+                yield Row(f"c1_{d.id}_{v}", "1", b.terms(), "=", 0.0)
+        for d in demands:
+            b = _RowBuilder()
+            for p in flows:
+                for e in g.out_links.get(d.src, ()):
+                    b.add(1.0, _xvar(e.id, p, d.id))
+            yield Row(f"c2_{d.id}", "2", b.terms(), "=", d.volume)
+        for d in demands:
+            b = _RowBuilder()
+            for p in flows:
+                for e in g.in_links.get(d.dst, ()):
+                    b.add(1.0, _xvar(e.id, p, d.id))
+            yield Row(f"c3_{d.id}", "3", b.terms(), "=", d.volume)
+
+        for e in g.links:
+            b = _RowBuilder()
+            for d in demands:
+                for p in flows:
+                    b.add(1.0, _xvar(e.id, p, d.id))
+            b.add(-e.capacity, "r")
+            yield Row(f"c4_{e.id}", "4", b.terms(), "<=", 0.0)
+
+        for t in targets:
+            h_total = sum(d.volume for d in demands if d.dst == t)
+            for e in g.links:
+                lo = _RowBuilder()
+                lo.add(1.0, _gvar(e.src, t))
+                for d in demands:
+                    if d.dst != t:
+                        continue
+                    for p in flows:
+                        lo.add(-1.0, _xvar(e.id, p, d.id))
+                yield Row(f"c5_{e.id}_{t}_lo", "5", lo.terms(), ">=", 0.0, side="lo")
+                hi = _RowBuilder()
+                hi.coef = dict(lo.coef)
+                hi.add(h_total, _uvar(e.id, t))
+                yield Row(f"c5_{e.id}_{t}_hi", "5", hi.terms(), "<=", h_total, side="hi")
+
+        for d in demands:
+            for e in g.links:
+                b = _RowBuilder()
+                for p in flows:
+                    b.add(1.0, _xvar(e.id, p, d.id))
+                b.add(-d.volume, _uvar(e.id, d.dst))
+                yield Row(f"c6_{d.id}_{e.id}", "6", b.terms(), "<=", 0.0)
+
+        for d in demands:
+            t = d.dst
+            for e in g.links:
+                lo = _RowBuilder()
+                l_term(lo, 1.0, e.dst, t)
+                lo.add(1.0, _wvar(e.id))
+                l_term(lo, -1.0, e.src, t)
+                lo.add(1.0, _uvar(e.id, t))
+                yield Row(f"c7_{d.id}_{e.id}_lo", "7", lo.terms(), ">=", 1.0, side="lo")
+                hi = _RowBuilder()
+                l_term(hi, 1.0, e.dst, t)
+                hi.add(1.0, _wvar(e.id))
+                l_term(hi, -1.0, e.src, t)
+                hi.add(m_z, _uvar(e.id, t))
+                yield Row(f"c7_{d.id}_{e.id}_hi", "7", hi.terms(), "<=", m_z, side="hi")
+
+        for e in g.links:
+            b = _RowBuilder()
+            b.add(1.0, _wvar(e.id))
+            yield Row(f"c8_{e.id}", "8", b.terms(), ">=", 1.0)
+
+        for d in demands:
+            if d.volume <= 0:
+                continue
+            for i, fn in enumerate(d.chain):
+                for p in flows:
+                    b = _RowBuilder()
+                    for e in g.links:
+                        k = int(g.can_host(e.src, fn)) + int(g.can_host(e.dst, fn))
+                        if k:
+                            b.add(float(k), _xvar(e.id, p, d.id))
+                    yield Row(f"c9_{d.id}_{i}_{p}", "9", b.terms(), ">=", DELTA * d.volume)
+        for d in demands:
+            if d.volume <= 0:
+                continue
+            for p in flows:
+                b = _RowBuilder()
+                for e in g.links:
+                    b.add(1.0, _xvar(e.id, p, d.id))
+                yield Row(f"c10_{d.id}_{p}", "10", b.terms(), ">=", DELTA * d.volume)
+
+        for d in demands:
+            for p in flows:
+                for e in g.links:
+                    b = _RowBuilder()
+                    b.add(1.0, _xvar(e.id, p, d.id))
+                    b.add(-m_z, _bvar(e.id, p, d.id))
+                    yield Row(f"c11_{d.id}_{p}_{e.id}", "11", b.terms(), "<=", 0.0)
+        for d in demands:
+            for p in flows:
+                for e in g.links:
+                    b = _RowBuilder()
+                    b.add(1.0, _xvar(e.id, p, d.id))
+                    for e2 in g.in_links.get(e.src, ()):
+                        b.add(-1.0, _xvar(e2.id, p, d.id))
+                    b.add(-m_z, _bvar(e.id, p, d.id))
+                    yield Row(f"c12_{d.id}_{p}_{e.id}", "12", b.terms(), ">=", -m_z)
+        for d in demands:
+            for p in flows:
+                for e in g.links:
+                    b = _RowBuilder()
+                    b.add(1.0, _xvar(e.id, p, d.id))
+                    for e2 in g.in_links.get(e.src, ()):
+                        b.add(-1.0, _xvar(e2.id, p, d.id))
+                    yield Row(f"c13_{d.id}_{p}_{e.id}", "13", b.terms(), "<=", 0.0)
+
+        for v in g.node_capacity:
+            b = _RowBuilder()
+            for d in demands:
+                per_rate = sum(g.cost(v, fn) for fn in d.chain if g.can_host(v, fn))
+                if per_rate == 0:
+                    continue
+                for p in flows:
+                    for e in g.in_links.get(v, ()):
+                        b.add(per_rate, _xvar(e.id, p, d.id))
+            yield Row(f"c14_{v}", "14", b.terms(), "<=", g.node_capacity[v])
+
+    @property
+    def rows(self) -> list[Row]:
+        """All rows as a list; builds every row again on each access."""
+        return list(self.iter_rows())
+
+    def family_counts(self) -> dict[str, int]:
+        """Constraints per family; the two halves of a two-sided constraint
+        count once."""
+        counts: dict[str, int] = {}
+        for row in self.iter_rows():
+            _count(counts, row)
+        return counts
+
+
+def _count(counts: dict[str, int], row: Row) -> None:
+    """Tally one constraint of the row's family, once per two-sided pair."""
+    if row.side != "hi":
+        counts[row.family] = counts.get(row.family, 0) + 1
+
+
 def build_model(
     g: NfviGraph, demands: list[ServiceDemand], flows_per_demand: int = 2
 ) -> MilpModel:
-    """Assemble every constraint family for the given instance.
-
-    The big-M constant is the maximum link capacity.  Distance labels toward
-    a target t exist for nodes v != t; occurrences of the target's own label
-    are the constant 0.  Targets are the distinct demand destinations.
+    """Check the instance and declare every variable; the model yields its
+    constraint rows on demand.  Targets are the distinct demand destinations.
     """
     if flows_per_demand < 1:
         raise ValidationError([f"flows per demand must be >= 1, got {flows_per_demand}"])
@@ -155,155 +312,15 @@ def build_model(
     if len(variables) != expected:
         raise ValidationError(["generated variable names collide; use distinct ids"])
 
-    rows: list[Row] = []
-
-    def l_term(b: _RowBuilder, c: float, v: str, t: str) -> None:
-        # the target's own distance label is the constant zero
-        if v != t:
-            b.add(c, _lvar(v, t))
-
-    for d in demands:
-        for v in g.node_capacity:
-            if v in (d.src, d.dst):
-                continue
-            b = _RowBuilder()
-            for p in flows:
-                for e in g.out_links.get(v, ()):
-                    b.add(1.0, _xvar(e.id, p, d.id))
-                for e in g.in_links.get(v, ()):
-                    b.add(-1.0, _xvar(e.id, p, d.id))
-            rows.append(Row(f"c1_{d.id}_{v}", "1", b.terms(), "=", 0.0))
-    for d in demands:
-        b = _RowBuilder()
-        for p in flows:
-            for e in g.out_links.get(d.src, ()):
-                b.add(1.0, _xvar(e.id, p, d.id))
-        rows.append(Row(f"c2_{d.id}", "2", b.terms(), "=", d.volume))
-    for d in demands:
-        b = _RowBuilder()
-        for p in flows:
-            for e in g.in_links.get(d.dst, ()):
-                b.add(1.0, _xvar(e.id, p, d.id))
-        rows.append(Row(f"c3_{d.id}", "3", b.terms(), "=", d.volume))
-
-    for e in g.links:
-        b = _RowBuilder()
-        for d in demands:
-            for p in flows:
-                b.add(1.0, _xvar(e.id, p, d.id))
-        b.add(-e.capacity, "r")
-        rows.append(Row(f"c4_{e.id}", "4", b.terms(), "<=", 0.0))
-
-    for t in targets:
-        h_total = sum(d.volume for d in demands if d.dst == t)
-        for e in g.links:
-            lo = _RowBuilder()
-            lo.add(1.0, _gvar(e.src, t))
-            for d in demands:
-                if d.dst != t:
-                    continue
-                for p in flows:
-                    lo.add(-1.0, _xvar(e.id, p, d.id))
-            rows.append(Row(f"c5_{e.id}_{t}_lo", "5", lo.terms(), ">=", 0.0, side="lo"))
-            hi = _RowBuilder()
-            hi.coef = dict(lo.coef)
-            hi.add(h_total, _uvar(e.id, t))
-            rows.append(Row(f"c5_{e.id}_{t}_hi", "5", hi.terms(), "<=", h_total, side="hi"))
-
-    for d in demands:
-        for e in g.links:
-            b = _RowBuilder()
-            for p in flows:
-                b.add(1.0, _xvar(e.id, p, d.id))
-            b.add(-d.volume, _uvar(e.id, d.dst))
-            rows.append(Row(f"c6_{d.id}_{e.id}", "6", b.terms(), "<=", 0.0))
-
-    for d in demands:
-        t = d.dst
-        for e in g.links:
-            lo = _RowBuilder()
-            l_term(lo, 1.0, e.dst, t)
-            lo.add(1.0, _wvar(e.id))
-            l_term(lo, -1.0, e.src, t)
-            lo.add(1.0, _uvar(e.id, t))
-            rows.append(Row(f"c7_{d.id}_{e.id}_lo", "7", lo.terms(), ">=", 1.0, side="lo"))
-            hi = _RowBuilder()
-            l_term(hi, 1.0, e.dst, t)
-            hi.add(1.0, _wvar(e.id))
-            l_term(hi, -1.0, e.src, t)
-            hi.add(m_z, _uvar(e.id, t))
-            rows.append(Row(f"c7_{d.id}_{e.id}_hi", "7", hi.terms(), "<=", m_z, side="hi"))
-
-    for e in g.links:
-        b = _RowBuilder()
-        b.add(1.0, _wvar(e.id))
-        rows.append(Row(f"c8_{e.id}", "8", b.terms(), ">=", 1.0))
-
-    for d in demands:
-        if d.volume <= 0:
-            continue
-        for i, fn in enumerate(d.chain):
-            for p in flows:
-                b = _RowBuilder()
-                for e in g.links:
-                    k = int(g.can_host(e.src, fn)) + int(g.can_host(e.dst, fn))
-                    if k:
-                        b.add(float(k), _xvar(e.id, p, d.id))
-                rows.append(Row(f"c9_{d.id}_{i}_{p}", "9", b.terms(), ">=", DELTA * d.volume))
-    for d in demands:
-        if d.volume <= 0:
-            continue
-        for p in flows:
-            b = _RowBuilder()
-            for e in g.links:
-                b.add(1.0, _xvar(e.id, p, d.id))
-            rows.append(Row(f"c10_{d.id}_{p}", "10", b.terms(), ">=", DELTA * d.volume))
-
-    for d in demands:
-        for p in flows:
-            for e in g.links:
-                b = _RowBuilder()
-                b.add(1.0, _xvar(e.id, p, d.id))
-                b.add(-m_z, _bvar(e.id, p, d.id))
-                rows.append(Row(f"c11_{d.id}_{p}_{e.id}", "11", b.terms(), "<=", 0.0))
-    for d in demands:
-        for p in flows:
-            for e in g.links:
-                b = _RowBuilder()
-                b.add(1.0, _xvar(e.id, p, d.id))
-                for e2 in g.in_links.get(e.src, ()):
-                    b.add(-1.0, _xvar(e2.id, p, d.id))
-                b.add(-m_z, _bvar(e.id, p, d.id))
-                rows.append(Row(f"c12_{d.id}_{p}_{e.id}", "12", b.terms(), ">=", -m_z))
-    for d in demands:
-        for p in flows:
-            for e in g.links:
-                b = _RowBuilder()
-                b.add(1.0, _xvar(e.id, p, d.id))
-                for e2 in g.in_links.get(e.src, ()):
-                    b.add(-1.0, _xvar(e2.id, p, d.id))
-                rows.append(Row(f"c13_{d.id}_{p}_{e.id}", "13", b.terms(), "<=", 0.0))
-
-    for v in g.node_capacity:
-        b = _RowBuilder()
-        for d in demands:
-            per_rate = sum(g.cost(v, fn) for fn in d.chain if g.can_host(v, fn))
-            if per_rate == 0:
-                continue
-            for p in flows:
-                for e in g.in_links.get(v, ()):
-                    b.add(per_rate, _xvar(e.id, p, d.id))
-        rows.append(Row(f"c14_{v}", "14", b.terms(), "<=", g.node_capacity[v]))
-
     return MilpModel(
+        g=g,
+        demands=tuple(demands),
         variables=variables,
-        rows=rows,
         objective="r",
         m_z=m_z,
         delta=DELTA,
         flows_per_demand=flows_per_demand,
         targets=targets,
-        demand_ids=tuple(d.id for d in demands),
     )
 
 
@@ -319,45 +336,56 @@ def _format_terms(terms: tuple[tuple[float, str], ...]) -> str:
     return " ".join(parts)
 
 
-def export_lp(model: MilpModel, path: str | None = None) -> str:
-    """Render the model in LP text syntax; rows without terms are omitted
-    (they carry no variables and LP rows cannot be empty)."""
-    lines = [
+def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
+    """The model's LP text, line by line, each ending in a newline.  Rows
+    without terms are omitted (they carry no variables and LP rows cannot be
+    empty) but still counted: ``counts`` receives the constraints per family
+    as the rows go by."""
+    yield (
         f"\\ delta = {format_number(model.delta)} "
-        "(relaxation of strict traversal inequalities)",
-        f"\\ M_z = {format_number(model.m_z)}",
-        "Minimize",
-        f" obj: + {model.objective}",
-        "Subject To",
-    ]
-    for row in model.rows:
-        if not row.terms:
-            continue
-        lines.append(
-            f" {row.name}: {_format_terms(row.terms)} {row.sense} {format_number(row.rhs)}"
-        )
+        "(relaxation of strict traversal inequalities)\n"
+    )
+    yield f"\\ M_z = {format_number(model.m_z)}\n"
+    yield "Minimize\n"
+    yield f" obj: + {model.objective}\n"
+    yield "Subject To\n"
+    for row in model.iter_rows():
+        _count(counts, row)
+        if row.terms:
+            yield (
+                f" {row.name}: {_format_terms(row.terms)} {row.sense} "
+                f"{format_number(row.rhs)}\n"
+            )
     bounds = [v for v in model.variables.values() if v.lb != 0.0]
     if bounds:
-        lines.append("Bounds")
+        yield "Bounds\n"
         for v in bounds:
-            lines.append(f" {v.name} >= {format_number(v.lb)}")
+            yield f" {v.name} >= {format_number(v.lb)}\n"
     generals = [v.name for v in model.variables.values() if v.kind == "integer"]
     if generals:
-        lines.append("Generals")
+        yield "Generals\n"
         for name in generals:
-            lines.append(f" {name}")
+            yield f" {name}\n"
     binaries = [v.name for v in model.variables.values() if v.kind == "binary"]
     if binaries:
-        lines.append("Binaries")
+        yield "Binaries\n"
         for name in binaries:
-            lines.append(f" {name}")
-    lines.append("End")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        from .fileio import write_text
+            yield f" {name}\n"
+    yield "End\n"
 
-        write_text(path, text)
-    return text
+
+def export_lp(model: MilpModel) -> str:
+    """The model in LP text syntax, as one string."""
+    return "".join(_lp_lines(model, {}))
+
+
+def write_lp(model: MilpModel, path: str) -> dict[str, int]:
+    """Stream the model's LP text to ``path`` as its rows are built; returns
+    the constraints per family, as ``family_counts`` would."""
+    counts: dict[str, int] = {}
+    write_text(path, _lp_lines(model, counts))
+    return counts
+
 
 
 @dataclass(frozen=True)
@@ -415,7 +443,7 @@ def check_solution(model: MilpModel, cand: SolutionCandidate) -> FeasibilityRepo
             violations.append(Violation(var.name, "domain", abs(val - 0.5) - 0.5))
         if val < var.lb - CHECK_TOL:
             violations.append(Violation(var.name, "domain", var.lb - val))
-    for row in model.rows:
+    for row in model.iter_rows():
         lhs = sum(c * cand.values[v] for c, v in row.terms)
         tol = CHECK_TOL * max(1.0, abs(lhs), abs(row.rhs))
         residual = 0.0

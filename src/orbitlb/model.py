@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -123,7 +124,9 @@ class ServiceDemand:
         problems = []
         if self.src == self.dst:
             problems.append(f"demand {self.id}: source equals destination ({self.src})")
-        if self.volume < 0:
+        if not math.isfinite(self.volume):
+            problems.append(f"demand {self.id}: volume {self.volume} is not finite")
+        elif self.volume < 0:
             problems.append(f"demand {self.id}: negative volume {self.volume}")
         if problems:
             raise ValidationError(problems)

@@ -179,3 +179,9 @@ def test_write_text_creates_directories(tmp_path):
     target = tmp_path / "deep" / "nested" / "out.csv"
     write_text(str(target), "x\n")
     assert target.read_text() == "x\n"
+
+
+def test_write_text_writes_an_iterable_of_chunks(tmp_path):
+    target = tmp_path / "out.txt"
+    write_text(str(target), (f"line {i}\n" for i in range(3)))
+    assert target.read_text() == "line 0\nline 1\nline 2\n"

@@ -166,6 +166,13 @@ def test_demand_rejects_negative_volume():
         ServiceDemand(0, "a", "b", -1.0, ())
 
 
+@pytest.mark.parametrize("volume", [float("nan"), float("inf"), float("-inf")])
+def test_demand_rejects_non_finite_volume(volume):
+    with pytest.raises(ValidationError) as exc:
+        ServiceDemand(7, "a", "b", volume, ())
+    assert exc.value.violations == [f"demand 7: volume {volume} is not finite"]
+
+
 def test_zero_volume_demand_is_legal():
     d = ServiceDemand(0, "a", "b", 0.0, ("fw",))
     assert d.volume == 0.0
