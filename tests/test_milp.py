@@ -154,9 +154,13 @@ def test_export_writes_file(diamond, tmp_path):
     assert counts == model.family_counts()
 
 
-def test_streamed_export_matches_in_memory_export(tmp_path):
+def internet2_prefix(k: int) -> tuple[NfviGraph, list[ServiceDemand]]:
     g = load_topology(dataset_path("internet2.topo"))
-    demands = list(load_demands(dataset_path("internet2.demands"), g))[:5]
+    return g, list(load_demands(dataset_path("internet2.demands"), g))[:k]
+
+
+def test_streamed_export_matches_in_memory_export(tmp_path):
+    g, demands = internet2_prefix(5)
     model = build_model(g, demands, 2)
     path = tmp_path / "model.lp"
     counts = write_lp(model, str(path))
@@ -170,8 +174,7 @@ def test_streamed_export_memory_stays_below_twice_the_file(tmp_path):
     # building the model and writing it hold no row list and no LP string:
     # the traced peak stays under twice the bytes written (about 1.4x here;
     # rows held in memory before writing took about 12.7x)
-    g = load_topology(dataset_path("internet2.topo"))
-    demands = list(load_demands(dataset_path("internet2.demands"), g))[:30]
+    g, demands = internet2_prefix(30)
     path = str(tmp_path / "model.lp")
     tracemalloc.start()
     try:
