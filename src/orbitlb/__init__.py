@@ -61,7 +61,6 @@ from .routing import (
     route_stream,
     select_waypoints,
     shortest_path_field,
-    split_demand,
     unit_weights,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "serialize_topology",
     "shortest_path_field",
     "simulated_annealing",
-    "split_demand",
     "unit_weights",
     "verify_guarantees",
     "write_lp",

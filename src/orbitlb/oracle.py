@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import OracleGuardError
 from .model import NfviGraph, ServiceDemand
-from .routing import RATE_TOL, format_number, route_all
+from .routing import format_number, route_all
 
 GUARD_LIMIT = 10**7
 LOG_LIMIT = 10000
@@ -77,7 +77,7 @@ def exact_oracle(
             r = math.nan
         else:
             r = result.report.r
-            feasible = r <= 1.0 + RATE_TOL and not result.report.over_capacity_nodes(g)
+            feasible = result.report.within_capacity()
         if len(log) < log_limit:
             log.append(OracleEntry(combo, feasible, r))
         # strict improvement keeps the lexicographically first optimum

@@ -26,9 +26,9 @@ from .partition import Partitioning
 from .routing import (
     FlowAllocation,
     ShortestPathField,
+    UtilizationReport,
     _alloc_node_usage,
     _split_segment,
-    capacity_slack,
     format_number,
     route_demand_sfc,
     shortest_path_field,
@@ -73,9 +73,7 @@ class AdmissionDecision:
     accepted: bool
     reason: str
     shares: dict[int, float]
-    allocations: dict[int, FlowAllocation]
     link_delta: dict[str, float]
-    node_delta: dict[str, float]
 
 
 class OrbitState:
@@ -99,10 +97,10 @@ class OrbitState:
         self.zeta: dict[int, int] = {}
         self.q: dict[int, set[int]] = {i: set() for i in range(k)}
         self.demand_q: dict[int, tuple[int, ...]] = {}
-        self.residual_node: dict[str, float] = dict(g.node_capacity)
-        self.chi: dict[str, float] = {e.id: 0.0 for e in g.links}
-        # running max of chi/capacity, raised where accepted demands add load
-        self.r_current: float = 0.0
+        # accepted demands' loads; chi and residual_node are the ledger's dicts
+        self.loads = UtilizationReport(g)
+        self.chi: dict[str, float] = self.loads.chi
+        self.residual_node: dict[str, float] = self.loads.residual
         self.p_o: float = 0.0
         self.d_o: int = 0
         self.trace: list[tuple[int, float, int]] = []
@@ -112,7 +110,7 @@ class OrbitState:
         self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
 
     def max_utilization(self) -> float:
-        """max(chi/capacity) rescanned over every link; equals r_current."""
+        """max(chi/capacity) rescanned over every link; equals loads.r."""
         return max((self.chi[e.id] / e.capacity for e in self.g.links), default=0.0)
 
     def acceptance_ratio(self) -> float:
@@ -183,8 +181,9 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
 
     Raising sweeps run while the eligible fractions sum below 1; fraction
     and dual increases persist even when the demand is then rejected for
-    capacity, and only accepted demands add link load and spend node
-    compute.  A link's budget is its capacity less its load ``chi``.
+    capacity, and only accepted demands add load to ``state.loads``, whose
+    ``fits`` judges the whole placement against link bandwidth and node
+    compute.
     """
     if d.id in state.demand_q:
         raise ValidationError([f"demand {d.id} was already processed"])
@@ -211,7 +210,6 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
 
     total_z = sum((state.z[i] for i in q_ids), 0.0)
     shares = {i: d.volume * state.z[i] / total_z for i in q_ids}
-    allocations: dict[int, FlowAllocation] = {}
     link_delta: dict[str, float] = {}
     node_delta: dict[str, float] = {}
     reason = "" if q_ids else "no_eligible_partition"
@@ -220,33 +218,18 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
         if alloc is None:
             reason = "capacity"
             break
-        allocations[i] = alloc
         for eid, val in alloc.link_flow.items():
             link_delta[eid] = link_delta.get(eid, 0.0) + val
         for v, val in _alloc_node_usage(alloc, state.g).items():
             node_delta[v] = node_delta.get(v, 0.0) + val
-    if not reason:
-        links, caps = state.g.link_by_id, state.g.node_capacity
-        fits = all(
-            state.chi[eid] + val <= links[eid].capacity + capacity_slack(links[eid].capacity)
-            for eid, val in link_delta.items()
-        ) and all(
-            val <= state.residual_node[v] + capacity_slack(caps[v])
-            for v, val in node_delta.items()
-        )
-        reason = "" if fits else "capacity"
+    if not reason and not state.loads.fits(link_delta, node_delta):
+        reason = "capacity"
     accepted = not reason
     if accepted:
-        for eid, val in link_delta.items():
-            state.chi[eid] += val
-            util = state.chi[eid] / state.g.link_by_id[eid].capacity
-            if util > state.r_current:
-                state.r_current = util
-        for v, val in node_delta.items():
-            state.residual_node[v] -= val
+        state.loads.add(link_delta, node_delta)
         state.accepted_count += 1
     else:
-        allocations, link_delta, node_delta = {}, {}, {}
+        link_delta = {}
     state.events.append(
         EventRecord(
             demand_id=d.id,
@@ -255,7 +238,7 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
             sum_z=total_z,
             p_o=state.p_o,
             d_o=state.d_o,
-            r_current=state.r_current,
+            r_current=state.loads.r,
             acceptance_ratio=state.acceptance_ratio(),
         )
     )
@@ -264,9 +247,7 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
         accepted=accepted,
         reason=reason,
         shares=shares,
-        allocations=allocations,
         link_delta=link_delta,
-        node_delta=node_delta,
     )
 
 

@@ -268,25 +268,6 @@ class FlowAllocation:
     link_flow: dict[str, float]
 
 
-def split_demand(
-    g: NfviGraph,
-    field: ShortestPathField,
-    entry: str,
-    exit: str,
-    amount: float,
-    demand_id: int | None = None,
-) -> FlowAllocation:
-    """Equal-split allocation of ``amount`` from entry to exit over the
-    shortest-path DAG toward exit.  Raises RoutingError when exit is
-    unreachable (unless the amount is zero, which routes trivially)."""
-    if amount < 0:
-        raise ValidationError([f"negative traffic amount {amount}"])
-    link_flow: dict[str, float] = {}
-    if amount != 0 and entry != exit:
-        link_flow = _split_segment(field, entry, exit, amount)
-    return FlowAllocation(demand_id, (entry, exit), (), link_flow)
-
-
 def _split_segment(
     field: ShortestPathField, entry: str, exit: str, amount: float
 ) -> dict[str, float]:
@@ -378,20 +359,67 @@ def route_demand_sfc(
     return FlowAllocation(d.id, waypoints, d.chain, link_flow)
 
 
-@dataclass
 class UtilizationReport:
-    """Link loads against bandwidth, compute usage against node capacity."""
+    """The load ledger: link loads ``chi``, node compute ``node_usage``, the
+    compute left at each node (``residual``) and ``r``, the largest link
+    utilization chi/capacity.
 
-    r: float
-    chi: dict[str, float]
-    per_link: dict[str, float]
-    node_usage: dict[str, float]
+    ``fits`` and ``add`` hold the one capacity rule.  A link takes a load
+    while its total stays at most c + capacity_slack(c); a node takes a
+    usage no greater than its residual compute plus capacity_slack of its
+    capacity.  Loads only grow, so ``add`` keeps ``r`` as a running maximum,
+    equal to a rescan of every link."""
+
+    def __init__(self, g: NfviGraph) -> None:
+        self._g = g
+        self.chi: dict[str, float] = {e.id: 0.0 for e in g.links}
+        self.node_usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
+        self.residual: dict[str, float] = dict(g.node_capacity)
+        self.r = 0.0
+        self._capacity = {e.id: e.capacity for e in g.links}
+        self._link_limit = {e.id: e.capacity + capacity_slack(e.capacity) for e in g.links}
+        self._node_slack = {v: capacity_slack(c) for v, c in g.node_capacity.items()}
+
+    @property
+    def per_link(self) -> dict[str, float]:
+        cap = self._capacity
+        return {eid: x / cap[eid] for eid, x in self.chi.items()}
+
+    def fits(self, link_flow: dict[str, float], usage: dict[str, float]) -> bool:
+        """Whether adding these link flows and node usages keeps every link
+        and node within capacity."""
+        chi, limit = self.chi, self._link_limit
+        for eid, val in link_flow.items():
+            if not chi[eid] + val <= limit[eid]:
+                return False
+        residual, slack = self.residual, self._node_slack
+        for v, val in usage.items():
+            if not val <= residual[v] + slack[v]:
+                return False
+        return True
+
+    def add(self, link_flow: dict[str, float], usage: dict[str, float]) -> None:
+        """Commit link flows and node usages, whether or not they fit."""
+        chi, cap, r = self.chi, self._capacity, self.r
+        for eid, val in link_flow.items():
+            load = chi[eid] = chi[eid] + val
+            util = load / cap[eid]
+            if util > r:
+                r = util
+        self.r = r
+        residual, node_usage = self.residual, self.node_usage
+        for v, val in usage.items():
+            residual[v] -= val
+            node_usage[v] += val
+
+    def within_capacity(self) -> bool:
+        """Whether the whole load would fit an empty ledger of the graph."""
+        return UtilizationReport(self._g).fits(self.chi, self.node_usage)
 
     def over_capacity_nodes(self, g: NfviGraph) -> list[str]:
-        return [
-            v for v, used in self.node_usage.items()
-            if used > g.node_capacity[v] + capacity_slack(g.node_capacity[v])
-        ]
+        """Nodes whose whole usage would not fit an empty ledger of g."""
+        empty = UtilizationReport(g)
+        return [v for v, used in self.node_usage.items() if not empty.fits({}, {v: used})]
 
 
 def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
@@ -420,30 +448,10 @@ def max_link_utilization(
     ratio, never a gate."""
     if isinstance(allocs, FlowAllocation):
         allocs = [allocs]
-    chi: dict[str, float] = {e.id: 0.0 for e in g.links}
-    usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
+    loads = UtilizationReport(g)
     for alloc in allocs:
-        _add_load(chi, usage, alloc, _alloc_node_usage(alloc, g))
-    return _report(g, chi, usage)
-
-
-def _add_load(
-    chi: dict[str, float],
-    usage: dict[str, float],
-    alloc: FlowAllocation,
-    alloc_usage: dict[str, float],
-) -> None:
-    """Add one allocation's link flow and node usage to running totals."""
-    for eid, val in alloc.link_flow.items():
-        chi[eid] = chi.get(eid, 0.0) + val
-    for v, val in alloc_usage.items():
-        usage[v] += val
-
-
-def _report(g: NfviGraph, chi: dict[str, float], usage: dict[str, float]) -> UtilizationReport:
-    per_link = {e.id: (chi[e.id] / e.capacity) for e in g.links}
-    r = max(per_link.values(), default=0.0)
-    return UtilizationReport(r=r, chi=chi, per_link=per_link, node_usage=usage)
+        loads.add(alloc.link_flow, _alloc_node_usage(alloc, g))
+    return loads
 
 
 @dataclass
@@ -514,11 +522,7 @@ def _route_demands(
     moves, old = _Moves(), ()
     if prev is not None and prev._field is not None and prev._field._g is g:
         moves, old = field._carry(prev._field), prev._routed
-    chi: dict[str, float] = {e.id: 0.0 for e in g.links}
-    usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
-    # largest load each link and node takes under the capacity rule
-    link_limit = {e.id: e.capacity + capacity_slack(e.capacity) for e in g.links}
-    node_limit = {v: c + capacity_slack(c) for v, c in g.node_capacity.items()}
+    loads = UtilizationReport(g)
     routed: list[_Routed | None] = []
     committed: list[FlowAllocation] = []
     accepted: list[int] = []
@@ -535,40 +539,21 @@ def _route_demands(
                 return None
             rejected.append(d.id)
             continue
-        alloc, delta_usage = rec.alloc, rec.usage
-        if gate and not _fits(chi, link_limit, alloc.link_flow, usage, node_limit, delta_usage):
+        alloc = rec.alloc
+        if gate and not loads.fits(alloc.link_flow, rec.usage):
             rejected.append(d.id)
             continue
-        _add_load(chi, usage, alloc, delta_usage)
+        loads.add(alloc.link_flow, rec.usage)
         committed.append(alloc)
         accepted.append(d.id)
     return StreamResult(
         accepted_ids=tuple(accepted),
         rejected_ids=tuple(rejected),
-        report=_report(g, chi, usage),
+        report=loads,
         allocations=tuple(committed),
         _field=field,
         _routed=tuple(routed),
     )
-
-
-def _fits(
-    chi: dict[str, float],
-    link_limit: dict[str, float],
-    link_flow: dict[str, float],
-    usage: dict[str, float],
-    node_limit: dict[str, float],
-    delta_usage: dict[str, float],
-) -> bool:
-    """Whether adding one allocation keeps every link and node within its
-    limit."""
-    for eid, val in link_flow.items():
-        if not chi[eid] + val <= link_limit[eid]:
-            return False
-    for v, val in delta_usage.items():
-        if not usage[v] + val <= node_limit[v]:
-            return False
-    return True
 
 
 def _route(g: NfviGraph, field: ShortestPathField, d: ServiceDemand) -> _Routed | None:

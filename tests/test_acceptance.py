@@ -24,7 +24,7 @@ from orbitlb.model import Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import exact_oracle
 from orbitlb.orbit import run_stream, verify_guarantees
 from orbitlb.partition import partition
-from orbitlb.routing import ecmp_dag, route_all, split_demand
+from orbitlb.routing import route_all, route_demand_sfc, shortest_path_field
 from tests.conftest import random_connected_graph, random_stream
 
 TOL = 1e-9
@@ -164,7 +164,7 @@ def test_criterion_4_equal_split_reference():
         amount = float(rng.randint(1, 9))
         ref = _reference_split(g, w, src, dst, amount)
         assert ref is not None
-        alloc = split_demand(g, ecmp_dag(g, w), src, dst, amount)
+        alloc = route_demand_sfc(g, shortest_path_field(g, w), ServiceDemand(0, src, dst, amount))
         mine = {k: v for k, v in alloc.link_flow.items() if v != 0.0}
         theirs = {k: v for k, v in ref.items() if v != 0.0}
         for key in set(mine) | set(theirs):

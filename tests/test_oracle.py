@@ -11,7 +11,7 @@ import pytest
 from orbitlb.errors import OracleGuardError
 from orbitlb.model import Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import OracleEntry, OracleResult, exact_oracle
-from orbitlb.routing import RATE_TOL, route_all
+from orbitlb.routing import route_all
 from tests.conftest import chain_graph, random_connected_graph
 
 
@@ -135,7 +135,7 @@ def reference_oracle(g: NfviGraph, demands: list[ServiceDemand], w_max: int) -> 
             feasible, r = False, math.nan
         else:
             r = result.report.r
-            feasible = r <= 1.0 + RATE_TOL and not result.report.over_capacity_nodes(g)
+            feasible = result.report.within_capacity()
         log.append(OracleEntry(combo, feasible, r))
         if feasible and (best is None or r < best[1]):
             best = (combo, r)

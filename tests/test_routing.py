@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import weakref
 
@@ -11,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitlb import dataset_path
-from orbitlb.errors import RoutingError, ValidationError
+from orbitlb.errors import ValidationError
 from orbitlb.fileio import load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
+from orbitlb.oracle import exact_oracle
 from orbitlb.orbit import run_stream
 from orbitlb.partition import Partition, Partitioning
 from orbitlb.routing import (
@@ -22,6 +24,7 @@ from orbitlb.routing import (
     ShortestPathField,
     _alloc_node_usage,
     _split_segment,
+    capacity_slack,
     ecmp_dag,
     format_number,
     max_link_utilization,
@@ -30,7 +33,6 @@ from orbitlb.routing import (
     route_stream,
     select_waypoints,
     shortest_path_field,
-    split_demand,
     unit_weights,
     validate_weights,
 )
@@ -167,21 +169,21 @@ def test_ecmp_dag_returns_the_given_field(diamond):
 
 def test_equal_split_on_diamond(diamond):
     dag = ecmp_dag(diamond, unit_weights(diamond))
-    alloc = split_demand(diamond, dag, "s", "t", 4.0)
+    alloc = route_demand_sfc(diamond, dag, ServiceDemand(0, "s", "t", 4.0))
     assert alloc.link_flow == {"e_sa": 2.0, "e_at": 2.0, "e_sb": 2.0, "e_bt": 2.0}
 
 
 def test_single_path_carries_everything():
     g = chain_graph([5.0, 5.0])
     dag = ecmp_dag(g, unit_weights(g))
-    alloc = split_demand(g, dag, "v0", "v2", 7.0)
+    alloc = route_demand_sfc(g, dag, ServiceDemand(0, "v0", "v2", 7.0))
     assert alloc.link_flow == {"p0": 7.0, "p1": 7.0}
 
 
 def test_three_way_fan_splits_equally():
     g = fan_graph(3)
     dag = ecmp_dag(g, unit_weights(g))
-    alloc = split_demand(g, dag, "s", "t", 9.0)
+    alloc = route_demand_sfc(g, dag, ServiceDemand(0, "s", "t", 9.0))
     assert alloc.link_flow["in0"] == 3.0
     assert alloc.link_flow["out2"] == 3.0
     assert sum(alloc.link_flow.values()) == 18.0
@@ -190,19 +192,18 @@ def test_three_way_fan_splits_equally():
 def test_split_rejects_negative_amount(diamond):
     dag = ecmp_dag(diamond, unit_weights(diamond))
     with pytest.raises(ValidationError):
-        split_demand(diamond, dag, "s", "t", -1.0)
+        route_demand_sfc(diamond, dag, ServiceDemand(0, "s", "t", 1.0), amount=-1.0)
 
 
 def test_split_zero_amount_is_empty(diamond):
     dag = ecmp_dag(diamond, unit_weights(diamond))
-    alloc = split_demand(diamond, dag, "s", "t", 0.0)
+    alloc = route_demand_sfc(diamond, dag, ServiceDemand(0, "s", "t", 0.0))
     assert alloc.link_flow == {}
 
 
-def test_split_unreachable_raises(diamond):
+def test_split_unreachable_is_rejected(diamond):
     dag = ecmp_dag(diamond, unit_weights(diamond))
-    with pytest.raises(RoutingError):
-        split_demand(diamond, dag, "t", "s", 1.0)
+    assert route_demand_sfc(diamond, dag, ServiceDemand(0, "t", "s", 1.0)) is None
 
 
 def test_flow_conservation_randomized():
@@ -212,7 +213,7 @@ def test_flow_conservation_randomized():
         w = {e.id: rng.choice([1, 2, 3]) for e in g.links}
         src, dst = rng.sample(sorted(g.nodes), 2)
         amount = float(rng.randint(1, 9))
-        alloc = split_demand(g, ecmp_dag(g, w), src, dst, amount)
+        alloc = route_demand_sfc(g, ecmp_dag(g, w), ServiceDemand(0, src, dst, amount))
         for v in g.nodes:
             inflow = sum(alloc.link_flow.get(e.id, 0.0) for e in g.in_links[v])
             outflow = sum(alloc.link_flow.get(e.id, 0.0) for e in g.out_links[v])
@@ -255,8 +256,8 @@ def test_split_scales_linearly():
     w = {e.id: rng.choice([1, 2, 3]) for e in g.links}
     dag = ecmp_dag(g, w)
     src, dst = sorted(g.nodes)[:2]
-    one = split_demand(g, dag, src, dst, 3.0)
-    two = split_demand(g, dag, src, dst, 6.0)
+    one = route_demand_sfc(g, dag, ServiceDemand(0, src, dst, 3.0))
+    two = route_demand_sfc(g, dag, ServiceDemand(0, src, dst, 6.0))
     assert set(one.link_flow) == set(two.link_flow)
     for eid, val in one.link_flow.items():
         assert abs(two.link_flow[eid] - 2.0 * val) <= 1e-9
@@ -276,7 +277,7 @@ def test_dag_invariant_under_weight_scaling():
 
 def test_off_dag_links_carry_no_flow(diamond):
     w = {"e_sa": 1, "e_at": 1, "e_sb": 1, "e_bt": 2}
-    alloc = split_demand(diamond, ecmp_dag(diamond, w), "s", "t", 8.0)
+    alloc = route_demand_sfc(diamond, ecmp_dag(diamond, w), ServiceDemand(0, "s", "t", 8.0))
     assert alloc.link_flow.get("e_sb", 0.0) == 0.0
     assert alloc.link_flow["e_sa"] == 8.0
 
@@ -401,7 +402,7 @@ def test_route_demand_without_host_rejects():
 
 def test_utilization_report_on_diamond(diamond):
     w = {"e_sa": 1, "e_at": 1, "e_sb": 1, "e_bt": 2}
-    alloc = split_demand(diamond, ecmp_dag(diamond, w), "s", "t", 8.0)
+    alloc = route_demand_sfc(diamond, ecmp_dag(diamond, w), ServiceDemand(0, "s", "t", 8.0))
     report = max_link_utilization(alloc, diamond)
     assert report.r == 0.8
     assert report.per_link["e_sa"] == 0.8
@@ -522,6 +523,29 @@ def test_stream_gate_admits_an_exact_fill_of_a_large_link():
     )
     events = run_stream(g, DemandStream(tuple(demands)), one_group).events
     assert [ev.decision for ev in events] == ["accepted"] * 3 + ["rejected"]
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1e3, 1e8])
+def test_stream_orbit_and_oracle_agree_at_the_slack_boundary(c):
+    """route_stream, ORBIT and exact_oracle judge one demand on one link of
+    capacity c alike: it fits up to c + capacity_slack(c) and no further,
+    checked a few ulps either side of that limit."""
+    g = NfviGraph({"s": 1.0, "t": 1.0}, (Link("st", "s", "t", c),))
+    one_group = Partitioning(
+        (Partition(0, frozenset(g.nodes), ("st",), 1.0),),
+        kappa=1, epsilon=1.0, seed=0, size_bound=2.0,
+    )
+    limit = c + capacity_slack(c)
+    for steps in range(-3, 4):
+        vol = limit
+        for _ in range(abs(steps)):
+            vol = math.nextafter(vol, INF if steps > 0 else -INF)
+        demands = [ServiceDemand(0, "s", "t", vol, ())]
+        fits = steps <= 0
+        assert (route_stream(g, unit_weights(g), demands).accepted_ids == (0,)) == fits
+        events = run_stream(g, DemandStream(tuple(demands)), one_group).events
+        assert (events[0].decision == "accepted") == fits
+        assert exact_oracle(g, demands, w_max=1).log[0].feasible == fits
 
 
 def test_route_all_ignores_capacity(diamond):
