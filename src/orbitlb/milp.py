@@ -20,12 +20,14 @@ LP text can express; the relaxation is recorded in the export header.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 from .errors import RoutingError, ValidationError
 from .fileio import write_text
-from .model import NfviGraph, ServiceDemand
+from .model import NfviGraph, ServiceDemand, validate, validate_demands
 from .routing import (
     FlowAllocation,
     format_number,
@@ -37,8 +39,7 @@ DELTA = 1e-4
 CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     name: str
     family: str
     terms: tuple[tuple[float, str], ...]
@@ -52,19 +53,6 @@ class Variable:
     name: str
     kind: str  # "continuous", "integer", "binary"
     lb: float = 0.0
-
-
-class _RowBuilder:
-    def __init__(self) -> None:
-        self.coef: dict[str, float] = {}
-
-    def add(self, c: float, var: str) -> None:
-        if c == 0:
-            return
-        self.coef[var] = self.coef.get(var, 0.0) + c
-
-    def terms(self) -> tuple[tuple[float, str], ...]:
-        return tuple((c, v) for v, c in self.coef.items() if c != 0)
 
 
 def _wvar(eid: str) -> str:
@@ -110,148 +98,154 @@ class MilpModel:
 
         The big-M constant is the maximum link capacity.  Distance labels
         toward a target t exist for nodes v != t; occurrences of the target's
-        own label are the constant 0.
+        own label are the constant 0.  Terms come in a fixed order, and a
+        term whose coefficient is zero is left out.  ``build_model`` has
+        rejected self-loops and colliding names, so no variable occurs
+        twice in one row.
         """
         g, demands, targets, m_z = self.g, self.demands, self.targets, self.m_z
         flows = range(self.flows_per_demand)
+        links = g.links
+        nodes = g.node_capacity
+        eids = [e.id for e in links]
+        at = {eid: i for i, eid in enumerate(eids)}
+        out_at = {v: [at[e.id] for e in g.out_links.get(v, ())] for v in nodes}
+        in_at = {v: [at[e.id] for e in g.in_links.get(v, ())] for v in nodes}
+        tail_in_at = [in_at[e.src] for e in links]
+        x_prefix = [f"x_{eid}_" for eid in eids]
+        b_prefix = [f"b_{eid}_" for eid in eids]
+        w_names = [_wvar(eid) for eid in eids]
 
-        def l_term(b: _RowBuilder, c: float, v: str, t: str) -> None:
-            # the target's own distance label is the constant zero
-            if v != t:
-                b.add(c, _lvar(v, t))
+        def suffixes(ds: Iterable[ServiceDemand]) -> list[str]:
+            return [f"{p}_{d.id}" for d in ds for p in flows]
+
+        def x_terms(d: ServiceDemand, c: float) -> list[list[tuple[float, str]]]:
+            # per flow, the term (c, x) of every link, indexed by link position
+            return [[(c, pre + s) for pre in x_prefix] for s in suffixes((d,))]
+
+        u_cache: dict[str, list[str]] = {}
+
+        def u_names(t: str) -> list[str]:
+            if t not in u_cache:
+                u_cache[t] = [_uvar(eid, t) for eid in eids]
+            return u_cache[t]
 
         for d in demands:
-            for v in g.node_capacity:
+            plus, minus = x_terms(d, 1.0), x_terms(d, -1.0)
+            for v in nodes:
                 if v in (d.src, d.dst):
                     continue
-                b = _RowBuilder()
+                outs, ins = out_at[v], in_at[v]
+                terms: list[tuple[float, str]] = []
                 for p in flows:
-                    for e in g.out_links.get(v, ()):
-                        b.add(1.0, _xvar(e.id, p, d.id))
-                    for e in g.in_links.get(v, ()):
-                        b.add(-1.0, _xvar(e.id, p, d.id))
-                yield Row(f"c1_{d.id}_{v}", "1", b.terms(), "=", 0.0)
+                    terms += [plus[p][i] for i in outs]
+                    terms += [minus[p][i] for i in ins]
+                yield Row(f"c1_{d.id}_{v}", "1", tuple(terms), "=", 0.0)
         for d in demands:
-            b = _RowBuilder()
-            for p in flows:
-                for e in g.out_links.get(d.src, ()):
-                    b.add(1.0, _xvar(e.id, p, d.id))
-            yield Row(f"c2_{d.id}", "2", b.terms(), "=", d.volume)
+            terms = tuple([(1.0, x_prefix[i] + s) for s in suffixes((d,)) for i in out_at[d.src]])
+            yield Row(f"c2_{d.id}", "2", terms, "=", d.volume)
         for d in demands:
-            b = _RowBuilder()
-            for p in flows:
-                for e in g.in_links.get(d.dst, ()):
-                    b.add(1.0, _xvar(e.id, p, d.id))
-            yield Row(f"c3_{d.id}", "3", b.terms(), "=", d.volume)
+            terms = tuple([(1.0, x_prefix[i] + s) for s in suffixes((d,)) for i in in_at[d.dst]])
+            yield Row(f"c3_{d.id}", "3", terms, "=", d.volume)
 
-        for e in g.links:
-            b = _RowBuilder()
-            for d in demands:
-                for p in flows:
-                    b.add(1.0, _xvar(e.id, p, d.id))
-            b.add(-e.capacity, "r")
-            yield Row(f"c4_{e.id}", "4", b.terms(), "<=", 0.0)
+        every = suffixes(demands)
+        for i, e in enumerate(links):
+            terms = [(1.0, x_prefix[i] + s) for s in every]
+            if e.capacity:
+                terms.append((-e.capacity, "r"))
+            yield Row(f"c4_{e.id}", "4", tuple(terms), "<=", 0.0)
 
         for t in targets:
             h_total = sum(d.volume for d in demands if d.dst == t)
-            for e in g.links:
-                lo = _RowBuilder()
-                lo.add(1.0, _gvar(e.src, t))
-                for d in demands:
-                    if d.dst != t:
-                        continue
-                    for p in flows:
-                        lo.add(-1.0, _xvar(e.id, p, d.id))
-                yield Row(f"c5_{e.id}_{t}_lo", "5", lo.terms(), ">=", 0.0, side="lo")
-                hi = _RowBuilder()
-                hi.coef = dict(lo.coef)
-                hi.add(h_total, _uvar(e.id, t))
-                yield Row(f"c5_{e.id}_{t}_hi", "5", hi.terms(), "<=", h_total, side="hi")
+            bound = suffixes([d for d in demands if d.dst == t])
+            us = u_names(t)
+            for i, e in enumerate(links):
+                lo = (
+                    (1.0, _gvar(e.src, t)),
+                    *[(-1.0, x_prefix[i] + s) for s in bound],
+                )
+                yield Row(f"c5_{e.id}_{t}_lo", "5", lo, ">=", 0.0, side="lo")
+                hi = (*lo, (h_total, us[i])) if h_total else lo
+                yield Row(f"c5_{e.id}_{t}_hi", "5", hi, "<=", h_total, side="hi")
 
         for d in demands:
-            for e in g.links:
-                b = _RowBuilder()
-                for p in flows:
-                    b.add(1.0, _xvar(e.id, p, d.id))
-                b.add(-d.volume, _uvar(e.id, d.dst))
-                yield Row(f"c6_{d.id}_{e.id}", "6", b.terms(), "<=", 0.0)
+            plus = x_terms(d, 1.0)
+            us = u_names(d.dst)
+            for i, eid in enumerate(eids):
+                terms = [plus[p][i] for p in flows]
+                if d.volume:
+                    terms.append((-d.volume, us[i]))
+                yield Row(f"c6_{d.id}_{eid}", "6", tuple(terms), "<=", 0.0)
 
+        # a c7 pair depends only on the link and the demand's destination
+        pairs: dict[str, list[tuple[tuple, tuple]]] = {}
         for d in demands:
             t = d.dst
-            for e in g.links:
-                lo = _RowBuilder()
-                l_term(lo, 1.0, e.dst, t)
-                lo.add(1.0, _wvar(e.id))
-                l_term(lo, -1.0, e.src, t)
-                lo.add(1.0, _uvar(e.id, t))
-                yield Row(f"c7_{d.id}_{e.id}_lo", "7", lo.terms(), ">=", 1.0, side="lo")
-                hi = _RowBuilder()
-                l_term(hi, 1.0, e.dst, t)
-                hi.add(1.0, _wvar(e.id))
-                l_term(hi, -1.0, e.src, t)
-                hi.add(m_z, _uvar(e.id, t))
-                yield Row(f"c7_{d.id}_{e.id}_hi", "7", hi.terms(), "<=", m_z, side="hi")
+            if t not in pairs:
+                us = u_names(t)
+                pairs[t] = []
+                for i, e in enumerate(links):
+                    head = [(1.0, _lvar(e.dst, t))] if e.dst != t else []
+                    tail = [(-1.0, _lvar(e.src, t))] if e.src != t else []
+                    common = (*head, (1.0, w_names[i]), *tail)
+                    hi = (*common, (m_z, us[i])) if m_z else common
+                    pairs[t].append(((*common, (1.0, us[i])), hi))
+            for eid, (lo, hi) in zip(eids, pairs[t]):
+                yield Row(f"c7_{d.id}_{eid}_lo", "7", lo, ">=", 1.0, side="lo")
+                yield Row(f"c7_{d.id}_{eid}_hi", "7", hi, "<=", m_z, side="hi")
 
-        for e in g.links:
-            b = _RowBuilder()
-            b.add(1.0, _wvar(e.id))
-            yield Row(f"c8_{e.id}", "8", b.terms(), ">=", 1.0)
+        for eid, w in zip(eids, w_names):
+            yield Row(f"c8_{eid}", "8", ((1.0, w),), ">=", 1.0)
 
+        hosts: dict[str, list[tuple[int, float]]] = {}
         for d in demands:
             if d.volume <= 0:
                 continue
             for i, fn in enumerate(d.chain):
-                for p in flows:
-                    b = _RowBuilder()
-                    for e in g.links:
-                        k = int(g.can_host(e.src, fn)) + int(g.can_host(e.dst, fn))
-                        if k:
-                            b.add(float(k), _xvar(e.id, p, d.id))
-                    yield Row(f"c9_{d.id}_{i}_{p}", "9", b.terms(), ">=", DELTA * d.volume)
+                if fn not in hosts:
+                    hosts[fn] = [
+                        (j, float(k))
+                        for j, e in enumerate(links)
+                        if (k := int(g.can_host(e.src, fn)) + int(g.can_host(e.dst, fn)))
+                    ]
+                for p, s in zip(flows, suffixes((d,))):
+                    terms = tuple([(k, x_prefix[j] + s) for j, k in hosts[fn]])
+                    yield Row(f"c9_{d.id}_{i}_{p}", "9", terms, ">=", DELTA * d.volume)
         for d in demands:
             if d.volume <= 0:
                 continue
-            for p in flows:
-                b = _RowBuilder()
-                for e in g.links:
-                    b.add(1.0, _xvar(e.id, p, d.id))
-                yield Row(f"c10_{d.id}_{p}", "10", b.terms(), ">=", DELTA * d.volume)
+            for p, terms in enumerate(x_terms(d, 1.0)):
+                yield Row(f"c10_{d.id}_{p}", "10", tuple(terms), ">=", DELTA * d.volume)
 
         for d in demands:
-            for p in flows:
-                for e in g.links:
-                    b = _RowBuilder()
-                    b.add(1.0, _xvar(e.id, p, d.id))
-                    b.add(-m_z, _bvar(e.id, p, d.id))
-                    yield Row(f"c11_{d.id}_{p}_{e.id}", "11", b.terms(), "<=", 0.0)
+            for p, s in zip(flows, suffixes((d,))):
+                for eid, xp, bp in zip(eids, x_prefix, b_prefix):
+                    terms = ((1.0, xp + s), (-m_z, bp + s)) if m_z else ((1.0, xp + s),)
+                    yield Row(f"c11_{d.id}_{p}_{eid}", "11", terms, "<=", 0.0)
         for d in demands:
-            for p in flows:
-                for e in g.links:
-                    b = _RowBuilder()
-                    b.add(1.0, _xvar(e.id, p, d.id))
-                    for e2 in g.in_links.get(e.src, ()):
-                        b.add(-1.0, _xvar(e2.id, p, d.id))
-                    b.add(-m_z, _bvar(e.id, p, d.id))
-                    yield Row(f"c12_{d.id}_{p}_{e.id}", "12", b.terms(), ">=", -m_z)
+            plus, minus = x_terms(d, 1.0), x_terms(d, -1.0)
+            for p, s in zip(flows, suffixes((d,))):
+                for i, eid in enumerate(eids):
+                    terms = [plus[p][i], *[minus[p][j] for j in tail_in_at[i]]]
+                    if m_z:
+                        terms.append((-m_z, b_prefix[i] + s))
+                    yield Row(f"c12_{d.id}_{p}_{eid}", "12", tuple(terms), ">=", -m_z)
         for d in demands:
+            plus, minus = x_terms(d, 1.0), x_terms(d, -1.0)
             for p in flows:
-                for e in g.links:
-                    b = _RowBuilder()
-                    b.add(1.0, _xvar(e.id, p, d.id))
-                    for e2 in g.in_links.get(e.src, ()):
-                        b.add(-1.0, _xvar(e2.id, p, d.id))
-                    yield Row(f"c13_{d.id}_{p}_{e.id}", "13", b.terms(), "<=", 0.0)
+                for i, eid in enumerate(eids):
+                    terms = (plus[p][i], *[minus[p][j] for j in tail_in_at[i]])
+                    yield Row(f"c13_{d.id}_{p}_{eid}", "13", terms, "<=", 0.0)
 
-        for v in g.node_capacity:
-            b = _RowBuilder()
+        for v in nodes:
+            terms = []
             for d in demands:
                 per_rate = sum(g.cost(v, fn) for fn in d.chain if g.can_host(v, fn))
-                if per_rate == 0:
-                    continue
-                for p in flows:
-                    for e in g.in_links.get(v, ()):
-                        b.add(per_rate, _xvar(e.id, p, d.id))
-            yield Row(f"c14_{v}", "14", b.terms(), "<=", g.node_capacity[v])
+                if per_rate:
+                    terms += [
+                        (per_rate, x_prefix[i] + s) for s in suffixes((d,)) for i in in_at[v]
+                    ]
+            yield Row(f"c14_{v}", "14", tuple(terms), "<=", g.node_capacity[v])
 
     @property
     def rows(self) -> list[Row]:
@@ -278,9 +272,14 @@ def build_model(
 ) -> MilpModel:
     """Check the instance and declare every variable; the model yields its
     constraint rows on demand.  Targets are the distinct demand destinations.
+    Raises ValidationError when ``validate`` or ``validate_demands`` reports
+    a problem, since the rows assume a well-formed instance.
     """
     if flows_per_demand < 1:
         raise ValidationError([f"flows per demand must be >= 1, got {flows_per_demand}"])
+    problems = validate(g) + validate_demands(demands, g)
+    if problems:
+        raise ValidationError(problems)
     m_z = g.max_link_capacity()
     targets = tuple(sorted({d.dst for d in demands}))
     flows = range(flows_per_demand)
@@ -324,23 +323,52 @@ def build_model(
     )
 
 
-def _format_terms(terms: tuple[tuple[float, str], ...]) -> str:
-    parts = []
-    for c, v in terms:
-        sign = "+" if c >= 0 else "-"
-        mag = abs(c)
-        if mag == 1.0:
-            parts.append(f"{sign} {v}")
-        else:
-            parts.append(f"{sign} {format_number(mag)} {v}")
-    return " ".join(parts)
+class _NumberText(dict):
+    """The LP text of each number met in one export, made once by ``fmt``.
+    Numbers of magnitude 1e16 and up (and nan) are not kept: there an int
+    and an equal float read differently."""
+
+    def __init__(self, fmt: Callable[[float], str]) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, x: float) -> str:
+        text = self.fmt(x)
+        if abs(x) < 1e16:
+            self[x] = text
+        return text
+
+
+def _term_prefix(c: float) -> str:
+    """The text before a variable with coefficient ``c``: "+ " or "- 3000 "."""
+    sign = "+" if c >= 0 else "-"
+    mag = abs(c)
+    return f"{sign} " if mag == 1.0 else f"{sign} {format_number(mag)} "
+
+
+def _format_terms(terms: tuple[tuple[float, str], ...], prefix: _NumberText) -> str:
+    return " ".join([prefix[c] + v for c, v in terms])
+
+
+_CHUNK = 1024
+
+
+def _section(title: str, lines: Iterator[str]) -> Iterator[str]:
+    """``title`` then ``lines`` joined ``_CHUNK`` at a time; nothing at all
+    when there are no lines."""
+    chunk = "".join(islice(lines, _CHUNK))
+    if chunk:
+        yield title
+    while chunk:
+        yield chunk
+        chunk = "".join(islice(lines, _CHUNK))
 
 
 def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
-    """The model's LP text, line by line, each ending in a newline.  Rows
-    without terms are omitted (they carry no variables and LP rows cannot be
-    empty) but still counted: ``counts`` receives the constraints per family
-    as the rows go by."""
+    """The model's LP text, each piece ending in a newline: a line per row,
+    the tail sections in chunks of lines.  Rows without terms are omitted
+    (they carry no variables and LP rows cannot be empty) but still counted:
+    ``counts`` receives the constraints per family as the rows go by."""
     yield (
         f"\\ delta = {format_number(model.delta)} "
         "(relaxation of strict traversal inequalities)\n"
@@ -349,28 +377,25 @@ def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
     yield "Minimize\n"
     yield f" obj: + {model.objective}\n"
     yield "Subject To\n"
+    prefix, rhs_text = _NumberText(_term_prefix), _NumberText(format_number)
     for row in model.iter_rows():
         _count(counts, row)
         if row.terms:
             yield (
-                f" {row.name}: {_format_terms(row.terms)} {row.sense} "
-                f"{format_number(row.rhs)}\n"
+                f" {row.name}: {_format_terms(row.terms, prefix)} {row.sense} "
+                f"{rhs_text[row.rhs]}\n"
             )
-    bounds = [v for v in model.variables.values() if v.lb != 0.0]
-    if bounds:
-        yield "Bounds\n"
-        for v in bounds:
-            yield f" {v.name} >= {format_number(v.lb)}\n"
-    generals = [v.name for v in model.variables.values() if v.kind == "integer"]
-    if generals:
-        yield "Generals\n"
-        for name in generals:
-            yield f" {name}\n"
-    binaries = [v.name for v in model.variables.values() if v.kind == "binary"]
-    if binaries:
-        yield "Binaries\n"
-        for name in binaries:
-            yield f" {name}\n"
+    variables = model.variables.values()
+    yield from _section(
+        "Bounds\n",
+        (f" {v.name} >= {format_number(v.lb)}\n" for v in variables if v.lb != 0.0),
+    )
+    yield from _section(
+        "Generals\n", (f" {v.name}\n" for v in variables if v.kind == "integer")
+    )
+    yield from _section(
+        "Binaries\n", (f" {v.name}\n" for v in variables if v.kind == "binary")
+    )
     yield "End\n"
 
 

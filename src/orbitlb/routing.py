@@ -78,7 +78,7 @@ class ShortestPathField:
         if root not in g.node_capacity:
             raise KeyError(root)
         adjacent = g.out_links if forward else g.in_links
-        d = {v: INF for v in g.node_capacity}
+        d = dict.fromkeys(g.node_capacity, INF)
         d[root] = 0
         heap = [(0, root)]
         while heap:

@@ -12,6 +12,8 @@ from orbitlb import dataset_path
 from orbitlb.errors import ValidationError
 from orbitlb.fileio import load_demands, load_topology
 from orbitlb.milp import (
+    DELTA,
+    Row,
     SolutionCandidate,
     build_model,
     candidate_from_routing,
@@ -185,6 +187,208 @@ def test_streamed_export_memory_stays_below_twice_the_file(tmp_path):
     written = os.path.getsize(path)
     assert written > 1_000_000
     assert peak < 2 * written
+
+
+def test_self_loop_rejected():
+    # a self-loop would put x_bb in its node's balance row twice
+    g = NfviGraph(
+        {"a": 0.0, "b": 0.0, "c": 0.0},
+        (
+            Link("ab", "a", "b", 10.0),
+            Link("bb", "b", "b", 10.0),
+            Link("bc", "b", "c", 10.0),
+        ),
+        frozenset(),
+        (),
+        {},
+    )
+    with pytest.raises(ValidationError, match="self-loop"):
+        build_model(g, [ServiceDemand(0, "a", "c", 1.0, ())])
+
+
+def test_unknown_demand_node_rejected(diamond):
+    with pytest.raises(ValidationError, match="unknown destination"):
+        build_model(diamond, [ServiceDemand(0, "s", "zz", 1.0, ())])
+
+
+class ReferenceRow:
+    """Accumulates a row's coefficients by variable, dropping zeros."""
+
+    def __init__(self) -> None:
+        self.coef: dict[str, float] = {}
+
+    def add(self, c: float, var: str) -> None:
+        if c == 0:
+            return
+        self.coef[var] = self.coef.get(var, 0.0) + c
+
+    def terms(self) -> tuple[tuple[float, str], ...]:
+        return tuple((c, v) for v, c in self.coef.items() if c != 0)
+
+
+def reference_rows(model) -> list[Row]:
+    """Every row of ``model``, built term by term through ReferenceRow."""
+    g, demands, targets, m_z = model.g, model.demands, model.targets, model.m_z
+    flows = range(model.flows_per_demand)
+    rows: list[Row] = []
+
+    def x(e, p, d):
+        return f"x_{e.id}_{p}_{d.id}"
+
+    def l_term(b, c, v, t):
+        if v != t:
+            b.add(c, f"l_{v}_{t}")
+
+    for d in demands:
+        for v in g.node_capacity:
+            if v in (d.src, d.dst):
+                continue
+            b = ReferenceRow()
+            for p in flows:
+                for e in g.out_links.get(v, ()):
+                    b.add(1.0, x(e, p, d))
+                for e in g.in_links.get(v, ()):
+                    b.add(-1.0, x(e, p, d))
+            rows.append(Row(f"c1_{d.id}_{v}", "1", b.terms(), "=", 0.0))
+    for d in demands:
+        b = ReferenceRow()
+        for p in flows:
+            for e in g.out_links.get(d.src, ()):
+                b.add(1.0, x(e, p, d))
+        rows.append(Row(f"c2_{d.id}", "2", b.terms(), "=", d.volume))
+    for d in demands:
+        b = ReferenceRow()
+        for p in flows:
+            for e in g.in_links.get(d.dst, ()):
+                b.add(1.0, x(e, p, d))
+        rows.append(Row(f"c3_{d.id}", "3", b.terms(), "=", d.volume))
+    for e in g.links:
+        b = ReferenceRow()
+        for d in demands:
+            for p in flows:
+                b.add(1.0, x(e, p, d))
+        b.add(-e.capacity, "r")
+        rows.append(Row(f"c4_{e.id}", "4", b.terms(), "<=", 0.0))
+    for t in targets:
+        h_total = sum(d.volume for d in demands if d.dst == t)
+        for e in g.links:
+            lo = ReferenceRow()
+            lo.add(1.0, f"g_{e.src}_{t}")
+            for d in demands:
+                if d.dst == t:
+                    for p in flows:
+                        lo.add(-1.0, x(e, p, d))
+            rows.append(Row(f"c5_{e.id}_{t}_lo", "5", lo.terms(), ">=", 0.0, side="lo"))
+            hi = ReferenceRow()
+            hi.coef = dict(lo.coef)
+            hi.add(h_total, f"u_{e.id}_{t}")
+            rows.append(Row(f"c5_{e.id}_{t}_hi", "5", hi.terms(), "<=", h_total, side="hi"))
+    for d in demands:
+        for e in g.links:
+            b = ReferenceRow()
+            for p in flows:
+                b.add(1.0, x(e, p, d))
+            b.add(-d.volume, f"u_{e.id}_{d.dst}")
+            rows.append(Row(f"c6_{d.id}_{e.id}", "6", b.terms(), "<=", 0.0))
+    for d in demands:
+        t = d.dst
+        for e in g.links:
+            for side, c, sense, rhs in (("lo", 1.0, ">=", 1.0), ("hi", m_z, "<=", m_z)):
+                b = ReferenceRow()
+                l_term(b, 1.0, e.dst, t)
+                b.add(1.0, f"w_{e.id}")
+                l_term(b, -1.0, e.src, t)
+                b.add(c, f"u_{e.id}_{t}")
+                rows.append(Row(f"c7_{d.id}_{e.id}_{side}", "7", b.terms(), sense, rhs, side))
+    for e in g.links:
+        rows.append(Row(f"c8_{e.id}", "8", ((1.0, f"w_{e.id}"),), ">=", 1.0))
+    for d in demands:
+        if d.volume <= 0:
+            continue
+        for i, fn in enumerate(d.chain):
+            for p in flows:
+                b = ReferenceRow()
+                for e in g.links:
+                    k = int(g.can_host(e.src, fn)) + int(g.can_host(e.dst, fn))
+                    if k:
+                        b.add(float(k), x(e, p, d))
+                rows.append(Row(f"c9_{d.id}_{i}_{p}", "9", b.terms(), ">=", DELTA * d.volume))
+    for d in demands:
+        if d.volume <= 0:
+            continue
+        for p in flows:
+            b = ReferenceRow()
+            for e in g.links:
+                b.add(1.0, x(e, p, d))
+            rows.append(Row(f"c10_{d.id}_{p}", "10", b.terms(), ">=", DELTA * d.volume))
+    for fam, with_tail, with_b, sense, rhs in (
+        ("11", False, True, "<=", 0.0),
+        ("12", True, True, ">=", -m_z),
+        ("13", True, False, "<=", 0.0),
+    ):
+        for d in demands:
+            for p in flows:
+                for e in g.links:
+                    b = ReferenceRow()
+                    b.add(1.0, x(e, p, d))
+                    if with_tail:
+                        for e2 in g.in_links.get(e.src, ()):
+                            b.add(-1.0, x(e2, p, d))
+                    if with_b:
+                        b.add(-m_z, f"b_{e.id}_{p}_{d.id}")
+                    rows.append(Row(f"c{fam}_{d.id}_{p}_{e.id}", fam, b.terms(), sense, rhs))
+    for v in g.node_capacity:
+        b = ReferenceRow()
+        for d in demands:
+            per_rate = sum(g.cost(v, fn) for fn in d.chain if g.can_host(v, fn))
+            for p in flows:
+                for e in g.in_links.get(v, ()):
+                    b.add(per_rate, x(e, p, d))
+        rows.append(Row(f"c14_{v}", "14", b.terms(), "<=", g.node_capacity[v]))
+    return rows
+
+
+def assert_rows_match_reference(model) -> None:
+    got, want = list(model.iter_rows()), reference_rows(model)
+    assert [r.name for r in got] == [r.name for r in want]
+    for a, b in zip(got, want):
+        assert (a.name, a.family, a.terms, a.sense, a.rhs, a.side) == (
+            b.name, b.family, b.terms, b.sense, b.rhs, b.side
+        )
+
+
+def test_rows_match_reference_on_diamond(diamond):
+    assert_rows_match_reference(build_model(diamond, [one_demand()]))
+
+
+@pytest.mark.parametrize("flows", [1, 2, 3])
+def test_rows_match_reference_on_chained_demands(flows):
+    g, demands = internet2_prefix(5)
+    assert any(d.chain for d in demands)
+    assert_rows_match_reference(build_model(g, demands, flows))
+
+
+def test_rows_match_reference_with_zero_volume_demands(diamond):
+    g = NfviGraph(
+        dict.fromkeys(diamond.nodes, 10.0),
+        diamond.links,
+        frozenset({"fw"}),
+        {("a", "fw")},
+        {("a", "fw"): 1.0},
+    )
+    # target a has only the zero-volume demand 1
+    demands = [
+        ServiceDemand(0, "s", "t", 4.0, ("fw",)),
+        ServiceDemand(1, "s", "a", 0.0, ("fw",)),
+    ]
+    model = build_model(g, demands)
+    assert_rows_match_reference(model)
+    rows = {r.name: r for r in model.iter_rows()}
+    assert all(not v.startswith("u_") for _, v in rows["c5_e_sa_a_hi"].terms)
+    assert all(not v.startswith("u_") for _, v in rows["c6_1_e_sa"].terms)
+    assert any(v == "u_e_sa_t" for _, v in rows["c5_e_sa_t_hi"].terms)
+    assert "c9_1_0_0" not in rows and "c10_1_0" not in rows
+    assert "c9_0_0_0" in rows and "c10_0_0" in rows
 
 
 def routed_candidate(diamond):
