@@ -325,8 +325,8 @@ def build_model(
 
 class _NumberText(dict):
     """The LP text of each number met in one export, made once by ``fmt``.
-    Numbers of magnitude 1e16 and up (and nan) are not kept: there an int
-    and an equal float read differently."""
+    Numbers of magnitude 1e16 and up (and nan) are not kept: there
+    ``format_number`` writes an int and an equal float differently."""
 
     def __init__(self, fmt: Callable[[float], str]) -> None:
         super().__init__()
@@ -340,9 +340,10 @@ class _NumberText(dict):
 
 
 def _term_prefix(c: float) -> str:
-    """The text before a variable with coefficient ``c``: "+ " or "- 3000 "."""
+    """The text before a variable with coefficient ``c``, written as a
+    float: "+ " or "- 3000 "."""
     sign = "+" if c >= 0 else "-"
-    mag = abs(c)
+    mag = abs(float(c))
     return f"{sign} " if mag == 1.0 else f"{sign} {format_number(mag)} "
 
 

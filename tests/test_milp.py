@@ -148,6 +148,24 @@ def test_export_writes_one_line_per_nonempty_row(diamond):
     assert exported == nonempty
 
 
+def test_export_number_text_above_1e16():
+    # 10**17 == 1e17, but format_number writes the int in full: right-hand
+    # sides keep their type, coefficients are written as floats
+    g = NfviGraph(
+        {"a": 10**17, "b": 1e17},
+        (Link("ab", "a", "b", 10**17), Link("ba", "b", "a", 1e17)),
+        frozenset({"f"}),
+        {("a", "f"), ("b", "f")},
+        {("a", "f"): 1.0, ("b", "f"): 1.0},
+    )
+    demands = [ServiceDemand(0, "a", "b", 1.0, ("f",))]
+    lines = export_lp(build_model(g, demands, flows_per_demand=1)).splitlines()
+    assert " c4_ab: + x_ab_0_0 - 1e+17 r <= 0" in lines
+    assert " c4_ba: + x_ba_0_0 - 1e+17 r <= 0" in lines
+    assert " c14_a: + x_ba_0_0 <= 100000000000000000" in lines
+    assert " c14_b: + x_ab_0_0 <= 1e+17" in lines
+
+
 def test_export_writes_file(diamond, tmp_path):
     model = build_model(diamond, [one_demand()])
     path = tmp_path / "model.lp"
