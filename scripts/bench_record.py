@@ -19,6 +19,11 @@ point holds:
   over the runs, the digests of each seed, and the median, quartiles, IQR
   and per-seed values of every end-to-end metric.
 
+It then prints, per workload and end-to-end metric, how many seed pairs
+the last side wins against the first (ties count for neither; which way is
+better comes from ``BENCHMARK.json`` beside ``scripts/``), both medians and
+the first side's IQR, and every seed whose digests differ between the two.
+
 Exit status is 0 when every run printed a result, 1 otherwise (nothing is
 written then).
 """
@@ -34,6 +39,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -77,6 +84,57 @@ def summarise(runs: dict[int, str]) -> dict:
         "digests": {str(seed): parsed[seed][0].get("digests") for seed in seeds},
         "metrics": metrics,
     }
+
+
+def metric_directions(path: str) -> dict[str, str]:
+    """Each end-to-end metric's ``better`` ("lower" or "higher") as declared
+    in the benchmark file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def compare(first: dict, last: dict, better: dict[str, str]) -> dict:
+    """Seed-by-seed comparison of two sides' entries for one workload, as
+    made by ``summarise``: per metric named in ``better``, the pairs each
+    side wins (ties count for neither), both medians and the first side's
+    IQR; and the seeds whose digests differ."""
+    if first["seeds"] != last["seeds"]:
+        raise ValueError(f"sides ran different seeds: {first['seeds']} and {last['seeds']}")
+    metrics = {}
+    for name, direction in better.items():
+        if name not in first["metrics"] or name not in last["metrics"]:
+            continue
+        a, b = first["metrics"][name], last["metrics"][name]
+        sign = 1 if direction == "higher" else -1
+        diffs = [sign * (y - x) for x, y in zip(a["values"], b["values"])]
+        metrics[name] = {
+            "better": direction,
+            "pairs": len(diffs),
+            "last_wins": sum(diff > 0 for diff in diffs),
+            "first_wins": sum(diff < 0 for diff in diffs),
+            "first_median": a["median"],
+            "last_median": b["median"],
+            "first_iqr": a["iqr"],
+        }
+    differ = [int(seed) for seed in first["digests"] if first["digests"][seed] != last["digests"].get(seed)]
+    return {"metrics": metrics, "digests_differ": differ}
+
+
+def render_comparison(workload: str, first: str, last: str, cmp: dict) -> list[str]:
+    """Text lines of one workload's ``compare`` result between the sides
+    labelled ``first`` and ``last``."""
+    lines = [f"{workload}: {last} against {first}"]
+    for name, m in cmp["metrics"].items():
+        lines.append(
+            f"  {name} ({m['better']} is better): {last} wins {m['last_wins']}/{m['pairs']} pairs,"
+            f" {first} wins {m['first_wins']}; median {m['first_median']:.6g} -> {m['last_median']:.6g},"
+            f" {first} IQR {m['first_iqr']:.6g}"
+        )
+    if cmp["digests_differ"]:
+        lines.append("  digests DIFFER at seeds " + ", ".join(map(str, cmp["digests_differ"])))
+    else:
+        lines.append("  digests equal at every seed")
+    return lines
 
 
 def checkout_identity(root: str) -> dict:
@@ -135,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--side", type=side, action="append", required=True)
     args = parser.parse_args(argv)
     sides = dict(args.side)
+    better = metric_directions(BENCHMARK)
     outputs: dict[str, dict[str, dict[int, str]]] = {label: {} for label in sides}
     try:
         for workload in args.workload:
@@ -168,6 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    first, last = doc["points"][-len(sides)]["workloads"], doc["points"][-1]["workloads"]
+    labels = list(sides)
+    for workload in args.workload if len(labels) > 1 else ():
+        cmp = compare(first[workload], last[workload], better)
+        print("\n".join(render_comparison(workload, labels[0], labels[-1], cmp)))
     return 0
 
 

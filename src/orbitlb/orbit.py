@@ -24,7 +24,6 @@ from .errors import ValidationError
 from .model import NfviGraph, ServiceDemand
 from .partition import Partitioning
 from .routing import (
-    FlowAllocation,
     ShortestPathField,
     UtilizationReport,
     _alloc_node_usage,
@@ -141,19 +140,15 @@ def eligible_partitions(
     return out
 
 
-def _route_share(
-    state: OrbitState, i: int, d: ServiceDemand, amount: float
-) -> FlowAllocation | None:
-    """Route group i's share of a demand on a field over the parent graph
-    masked to the group's internal links plus entry/exit ramps for the
-    demand's endpoints; each ramp is every link on a shortest path between
-    the endpoint and the group's closest member, ties by id.  Hosts are
-    group members with compute left.  None when the group is unreachable
-    from the source, cannot reach the destination, or has no route.  Fields
-    are cached per (group, source, destination) with a member endpoint as
-    None: weights are >= 1, so a member is its own unique closest member."""
-    if amount == 0:
-        return FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
+def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathField | None:
+    """Field for group i's share of a demand: the parent graph masked to
+    the group's internal links plus entry/exit ramps for the demand's
+    endpoints; each ramp is every link on a shortest path between the
+    endpoint and the group's closest member, ties by id.  None when the
+    group is unreachable from the source or cannot reach the destination.
+    Fields are cached per (group, source, destination) with a member
+    endpoint as None: weights are >= 1, so a member is its own unique
+    closest member."""
     part = state.part.parts[i]
     key = (i, None if d.src in part.nodes else d.src, None if d.dst in part.nodes else d.dst)
     if key not in state._subgraphs:
@@ -169,11 +164,7 @@ def _route_share(
                     link_ids.update(_split_segment(state.field, a, b, 1.0))
             masked = ShortestPathField(state.g, state.w, link_ids)
         state._subgraphs[key] = masked
-    masked = state._subgraphs[key]
-    if masked is None:
-        return None
-    hosts = {v for v in part.nodes if state.residual_node[v] > 0}
-    return route_demand_sfc(state.g, masked, d, amount=amount, allowed_hosts=hosts)
+    return state._subgraphs[key]
 
 
 def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
@@ -213,8 +204,22 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
     link_delta: dict[str, float] = {}
     node_delta: dict[str, float] = {}
     reason = "" if q_ids else "no_eligible_partition"
+    # Every route through waypoints is a source-to-destination path in its
+    # share's field, so a field that cannot join the endpoints rejects the
+    # demand before any share is routed.  A zero share places nothing.
+    fields: dict[int, ShortestPathField] = {}
     for i in q_ids:
-        alloc = _route_share(state, i, d, shares[i])
+        if shares[i] == 0:
+            continue
+        field = _share_field(state, i, d)
+        if field is None or field.dist(d.src, d.dst) == INF:
+            reason = "capacity"
+            fields = {}
+            break
+        fields[i] = field
+    for i, field in fields.items():
+        hosts = {v for v in state.part.parts[i].nodes if state.residual_node[v] > 0}
+        alloc = route_demand_sfc(state.g, field, d, amount=shares[i], allowed_hosts=hosts)
         if alloc is None:
             reason = "capacity"
             break

@@ -53,3 +53,51 @@ def test_summary_of_one_seed_has_no_spread():
 def test_output_without_result_lines_is_refused():
     with pytest.raises(ValueError):
         bench_record.parse_run('{"only": "one line"}\n')
+
+
+def side_entry(values: dict[int, tuple[float, float]], digests: dict[int, str] | None = None) -> dict:
+    """``summarise`` of canned runs: per seed (ops_per_s, op_p50_ms), with
+    the default digest unless ``digests`` names another."""
+    runs = {}
+    for seed, (ops, p50) in values.items():
+        report = {"digests": {"events.csv": (digests or {}).get(seed, f"d{seed}")}}
+        result = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "ops_per_s": {"value": ops, "unit": "1/s"},
+            "op_p50_ms": {"value": p50, "unit": "ms"},
+        }}
+        runs[seed] = json.dumps(report) + "\n" + json.dumps(result) + "\n"
+    return bench_record.summarise(runs)
+
+
+def test_comparison_counts_wins_by_each_metrics_direction():
+    parent = side_entry({1: (100.0, 2.0), 2: (110.0, 2.0), 3: (120.0, 1.0), 4: (130.0, 3.0)})
+    change = side_entry({1: (150.0, 1.0), 2: (110.0, 2.5), 3: (90.0, 0.5), 4: (160.0, 3.0)},
+                        digests={3: "other"})
+    better = {"ops_per_s": "higher", "op_p50_ms": "lower", "peak_rss_mb": "lower"}
+    cmp = bench_record.compare(parent, change, better)
+    ops, p50 = cmp["metrics"]["ops_per_s"], cmp["metrics"]["op_p50_ms"]
+    # seed 2 ties on ops_per_s and seed 4 on op_p50_ms: neither side wins those
+    assert (ops["last_wins"], ops["first_wins"], ops["pairs"]) == (2, 1, 4)
+    assert (p50["last_wins"], p50["first_wins"], p50["pairs"]) == (2, 1, 4)
+    assert (ops["first_median"], ops["last_median"], ops["first_iqr"]) == (115.0, 130.0, 15.0)
+    assert "peak_rss_mb" not in cmp["metrics"]
+    assert cmp["digests_differ"] == [3]
+    lines = bench_record.render_comparison("w", "parent", "change", cmp)
+    assert lines[0] == "w: change against parent"
+    assert lines[1] == ("  ops_per_s (higher is better): change wins 2/4 pairs, parent wins 1;"
+                        " median 115 -> 130, parent IQR 15")
+    assert lines[-1] == "  digests DIFFER at seeds 3"
+    same = bench_record.compare(parent, parent, better)
+    assert same["digests_differ"] == [] and same["metrics"]["ops_per_s"]["last_wins"] == 0
+    assert bench_record.render_comparison("w", "a", "b", same)[-1] == "  digests equal at every seed"
+
+
+def test_comparison_refuses_sides_with_different_seeds():
+    with pytest.raises(ValueError):
+        bench_record.compare(side_entry({1: (1.0, 1.0)}), side_entry({2: (1.0, 1.0)}), {"ops_per_s": "higher"})
+
+
+def test_directions_are_read_from_the_benchmark_file():
+    better = bench_record.metric_directions(bench_record.BENCHMARK)
+    assert better["ops_per_s"] == "higher"
+    assert better["op_p50_ms"] == better["setup_s"] == better["peak_rss_mb"] == "lower"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from orbitlb.orbit import (
     verify_guarantees,
 )
 from orbitlb.partition import Partition, Partitioning, partition
+from orbitlb.routing import FlowAllocation, _alloc_node_usage, route_demand_sfc
 from tests.conftest import random_connected_graph, random_stream
 
 
@@ -442,14 +444,14 @@ def test_member_endpoints_share_one_share_field(monkeypatch):
     w = {e.id: rng.randint(1, 3) for e in g.links}
     part = partition(g, 3, 1.5)
     lookups = set()
-    route_share = orbit._route_share
+    share_field = orbit._share_field
 
-    def recording(state, i, d, amount):
-        if state is cached and amount != 0:
+    def recording(state, i, d):
+        if state is cached:
             lookups.add((i, d.src, d.dst))
-        return route_share(state, i, d, amount)
+        return share_field(state, i, d)
 
-    monkeypatch.setattr(orbit, "_route_share", recording)
+    monkeypatch.setattr(orbit, "_share_field", recording)
     cached, fresh = OrbitState(g, part, w), OrbitState(g, part, w)
     for d in demands:
         fresh._subgraphs.clear()
@@ -458,3 +460,123 @@ def test_member_endpoints_share_one_share_field(monkeypatch):
     assert cached.chi == fresh.chi and cached.residual_node == fresh.residual_node
     assert 0 < cached.accepted_count < len(demands)
     assert len(cached._subgraphs) < len(lookups)
+
+
+def split_group_instance() -> tuple[NfviGraph, Partitioning]:
+    """Group 1's internal links form two components, {b1, b2} and {b3, b4},
+    joined only through group 0's nodes a1 and a2.  Only group 1 hosts dpi
+    and no node hosts ids."""
+    pairs = [("a1", "a2"), ("b1", "b2"), ("b3", "b4"),
+             ("a1", "b1"), ("a1", "b2"), ("a2", "b3"), ("a2", "b4")]
+    links = tuple(Link(f"{u}_{v}", u, v, 4.0) for a, b in pairs for u, v in ((a, b), (b, a)))
+    hosts = [("a2", "fw"), ("b2", "fw"), ("b4", "fw"), ("a1", "nat"), ("b3", "nat"), ("b1", "dpi")]
+    g = NfviGraph({v: 3.0 for v in ("a1", "a2", "b1", "b2", "b3", "b4")}, links,
+                  frozenset({"fw", "nat", "dpi", "ids"}), hosts, {h: 0.5 for h in hosts})
+    parts = (
+        Partition(0, frozenset({"a1", "a2"}), ("a1_a2", "a2_a1"), 1.0),
+        Partition(1, frozenset({"b1", "b2", "b3", "b4"}),
+                  ("b1_b2", "b2_b1", "b3_b4", "b4_b3"), 3.0),
+    )
+    return g, Partitioning(parts, kappa=2, epsilon=1.0, seed=0, size_bound=4.0)
+
+
+def parent_process_demand(state, d, cut):
+    """``process_demand`` as it was before the reachability pre-check: every
+    share is routed in group order until one has no route.  ``cut`` maps the
+    demand to the eligible groups whose share field cannot join its
+    endpoints."""
+    state.processed_count += 1
+    q_ids = eligible_partitions(d, state.part, state.g, state.residual_node)
+    for i in q_ids:
+        state.q[i].add(d.id)
+    state.demand_q[d.id] = tuple(q_ids)
+    state.zeta[d.id] = 0
+    eps = state.part.epsilon
+    while q_ids and sum(state.z[i] for i in q_ids) < 1.0:
+        d_p = 0.0
+        for i in q_ids:
+            pi = state.part.parts[i].pi
+            old = state.z[i]
+            new = old * (1.0 + 1.0 / (pi * eps)) + 1.0 / (pi * len(q_ids))
+            state.z[i] = new
+            d_p += pi * (new - old)
+        state.zeta[d.id] += 1
+        state.p_o += d_p
+        state.d_o += 1
+        state.trace.append((d.id, d_p, 1))
+    total_z = sum((state.z[i] for i in q_ids), 0.0)
+    shares = {i: d.volume * state.z[i] / total_z for i in q_ids}
+    cut[d.id] = set()
+    for i in q_ids:
+        field = orbit._share_field(state, i, d)
+        if field is None or field.dist(d.src, d.dst) == math.inf:
+            cut[d.id].add(i)
+    link_delta: dict[str, float] = {}
+    node_delta: dict[str, float] = {}
+    reason = "" if q_ids else "no_eligible_partition"
+    for i in q_ids:
+        if shares[i] == 0:
+            alloc = FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
+        else:
+            field = orbit._share_field(state, i, d)
+            hosts = {v for v in state.part.parts[i].nodes if state.residual_node[v] > 0}
+            alloc = None if field is None else route_demand_sfc(
+                state.g, field, d, amount=shares[i], allowed_hosts=hosts)
+        if alloc is None:
+            reason = "capacity"
+            break
+        for eid, val in alloc.link_flow.items():
+            link_delta[eid] = link_delta.get(eid, 0.0) + val
+        for v, val in _alloc_node_usage(alloc, state.g).items():
+            node_delta[v] = node_delta.get(v, 0.0) + val
+    if not reason and not state.loads.fits(link_delta, node_delta):
+        reason = "capacity"
+    accepted = not reason
+    if accepted:
+        state.loads.add(link_delta, node_delta)
+        state.accepted_count += 1
+    else:
+        link_delta = {}
+    state.events.append(orbit.EventRecord(
+        d.id, "accepted" if accepted else "rejected", reason, total_z, state.p_o,
+        state.d_o, state.loads.r, state.acceptance_ratio(),
+    ))
+    return orbit.AdmissionDecision(d.id, accepted, reason, shares, link_delta)
+
+
+def test_unjoinable_share_field_rejects_before_any_share_is_routed(monkeypatch):
+    """A share whose field cannot join the demand's endpoints rejects the
+    demand before any share is routed, with the decisions, event log and
+    loads of routing every share in group order."""
+    g, part = split_group_instance()
+    rng = random.Random(5)
+    names = sorted(g.nodes)
+    chains = ((), ("fw",), ("nat",), ("fw", "nat"), ("dpi",), ("ids",))
+    demands = [
+        ServiceDemand(k, *rng.sample(names, 2), rng.choice((0.0, 0.25, 0.5, 1.0)),
+                      rng.choice(chains))
+        for k in range(200)
+    ]
+    routed, decisions = [], {}
+
+    def recording(g, field, d, **kwargs):
+        routed.append(d.id)
+        return route_demand_sfc(g, field, d, **kwargs)
+
+    monkeypatch.setattr(orbit, "route_demand_sfc", recording)
+    state, reference = OrbitState(g, part), OrbitState(g, part)
+    cut: dict[int, set[int]] = {}
+    for d in demands:
+        decisions[d.id] = process_demand(state, d)
+        assert decisions[d.id] == parent_process_demand(reference, d, cut)
+    assert state.events_csv() == reference.events_csv()
+    assert state.chi == reference.chi and state.residual_node == reference.residual_node
+
+    blocked = {k for k, groups in cut.items() if any(decisions[k].shares[i] for i in groups)}
+    assert blocked and not blocked & set(routed)
+    zero_cut = [d.id for d in demands if d.volume == 0 and cut[d.id]]
+    assert zero_cut and all(decisions[k].accepted for k in zero_cut)
+    reasons = [ev.reason for ev in state.events]
+    assert reasons.count("") > 20 and reasons.count("capacity") > len(blocked)
+    assert "no_eligible_partition" in reasons
+    assert any(d.chain and decisions[d.id].accepted for d in demands)
