@@ -227,11 +227,12 @@ def main(argv: list[str] | None = None) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    first, last = doc["points"][-len(sides)]["workloads"], doc["points"][-1]["workloads"]
-    labels = list(sides)
-    for workload in args.workload if len(labels) > 1 else ():
-        cmp = compare(first[workload], last[workload], better)
-        print("\n".join(render_comparison(workload, labels[0], labels[-1], cmp)))
+    if len(sides) > 1:
+        labels = list(sides)
+        first, last = doc["points"][-len(sides)]["workloads"], doc["points"][-1]["workloads"]
+        for workload in args.workload:
+            cmp = compare(first[workload], last[workload], better)
+            print("\n".join(render_comparison(workload, labels[0], labels[-1], cmp)))
     return 0
 
 
