@@ -19,10 +19,21 @@ point holds:
   over the runs, the digests of each seed, and the median, quartiles, IQR
   and per-seed values of every end-to-end metric.
 
-It then prints, per workload and end-to-end metric, how many seed pairs
-the last side wins against the first (ties count for neither; which way is
-better comes from ``BENCHMARK.json`` beside ``scripts/``), both medians and
-the first side's IQR, and every seed whose digests differ between the two.
+It then prints each side's ``src_lines`` and, per workload and end-to-end
+metric, how many seed pairs the last side wins against the first (ties
+count for neither), both medians, the first side's IQR and a verdict
+against the metric's bound; then every seed whose digests differ between
+the two.  Which way is better and each bound come from ``BENCHMARK.json``
+beside ``scripts/``.  The verdict is:
+
+- ``within bound`` when every run of the last side is better than every
+  run of the first;
+- else ``unresolved`` when the first side's IQR exceeds the bound relative
+  to its median, so a change of the bound's size cannot be told from
+  noise;
+- else ``WORSE than bound`` when the last side's median is worse than the
+  first's by more than the bound, relative to the first's median, and
+  ``within bound`` when it is not.
 
 Exit status is 0 when every run printed a result, 1 otherwise (nothing is
 written then).
@@ -34,6 +45,7 @@ import argparse
 import glob
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -86,22 +98,43 @@ def summarise(runs: dict[int, str]) -> dict:
     }
 
 
-def metric_directions(path: str) -> dict[str, str]:
-    """Each end-to-end metric's ``better`` ("lower" or "higher") as declared
-    in the benchmark file at ``path``."""
+def end_to_end_metrics(path: str) -> dict[str, tuple[str, float]]:
+    """Each end-to-end metric's ``better`` ("lower" or "higher") and
+    ``bound`` as declared in the benchmark file at ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
-def compare(first: dict, last: dict, better: dict[str, str]) -> dict:
+def _relative(x: float, base: float) -> float:
+    """x as a fraction of base; a non-zero x against a zero base is infinite."""
+    if base:
+        return x / abs(base)
+    return math.copysign(math.inf, x) if x else 0.0
+
+
+def verdict(a: dict, b: dict, sign: int, bound: float) -> str:
+    """The last side's metric ``b`` against the first side's ``a`` (both as
+    made by ``summarise``), where ``sign`` is 1 when higher is better and
+    -1 when lower is."""
+    if min(sign * y for y in b["values"]) > max(sign * x for x in a["values"]):
+        return "within bound"
+    if _relative(a["iqr"], a["median"]) > bound:
+        return "unresolved"
+    if _relative(sign * (a["median"] - b["median"]), a["median"]) > bound:
+        return "WORSE than bound"
+    return "within bound"
+
+
+def compare(first: dict, last: dict, metrics_spec: dict[str, tuple[str, float]]) -> dict:
     """Seed-by-seed comparison of two sides' entries for one workload, as
-    made by ``summarise``: per metric named in ``better``, the pairs each
-    side wins (ties count for neither), both medians and the first side's
-    IQR; and the seeds whose digests differ."""
+    made by ``summarise``: per metric named in ``metrics_spec`` (name to
+    better and bound), the pairs each side wins (ties count for neither),
+    both medians, the first side's IQR and the ``verdict``; and the seeds
+    whose digests differ."""
     if first["seeds"] != last["seeds"]:
         raise ValueError(f"sides ran different seeds: {first['seeds']} and {last['seeds']}")
     metrics = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics_spec.items():
         if name not in first["metrics"] or name not in last["metrics"]:
             continue
         a, b = first["metrics"][name], last["metrics"][name]
@@ -109,12 +142,14 @@ def compare(first: dict, last: dict, better: dict[str, str]) -> dict:
         diffs = [sign * (y - x) for x, y in zip(a["values"], b["values"])]
         metrics[name] = {
             "better": direction,
+            "bound": bound,
             "pairs": len(diffs),
             "last_wins": sum(diff > 0 for diff in diffs),
             "first_wins": sum(diff < 0 for diff in diffs),
             "first_median": a["median"],
             "last_median": b["median"],
             "first_iqr": a["iqr"],
+            "verdict": verdict(a, b, sign, bound),
         }
     differ = [int(seed) for seed in first["digests"] if first["digests"][seed] != last["digests"].get(seed)]
     return {"metrics": metrics, "digests_differ": differ}
@@ -128,13 +163,18 @@ def render_comparison(workload: str, first: str, last: str, cmp: dict) -> list[s
         lines.append(
             f"  {name} ({m['better']} is better): {last} wins {m['last_wins']}/{m['pairs']} pairs,"
             f" {first} wins {m['first_wins']}; median {m['first_median']:.6g} -> {m['last_median']:.6g},"
-            f" {first} IQR {m['first_iqr']:.6g}"
+            f" {first} IQR {m['first_iqr']:.6g}; {m['verdict']} {m['bound']:g}"
         )
     if cmp["digests_differ"]:
         lines.append("  digests DIFFER at seeds " + ", ".join(map(str, cmp["digests_differ"])))
     else:
         lines.append("  digests equal at every seed")
     return lines
+
+
+def render_src_lines(points: list[dict]) -> str:
+    """One line naming each point's label and ``src_lines``."""
+    return "src_lines: " + ", ".join(f"{p['label']} {p['src_lines']}" for p in points)
 
 
 def checkout_identity(root: str) -> dict:
@@ -193,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--side", type=side, action="append", required=True)
     args = parser.parse_args(argv)
     sides = dict(args.side)
-    better = metric_directions(BENCHMARK)
+    metrics_spec = end_to_end_metrics(BENCHMARK)
     outputs: dict[str, dict[str, dict[int, str]]] = {label: {} for label in sides}
     try:
         for workload in args.workload:
@@ -227,11 +267,13 @@ def main(argv: list[str] | None = None) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    points = doc["points"][-len(sides):]
+    print(render_src_lines(points))
     if len(sides) > 1:
         labels = list(sides)
-        first, last = doc["points"][-len(sides)]["workloads"], doc["points"][-1]["workloads"]
+        first, last = points[0]["workloads"], points[-1]["workloads"]
         for workload in args.workload:
-            cmp = compare(first[workload], last[workload], better)
+            cmp = compare(first[workload], last[workload], metrics_spec)
             print("\n".join(render_comparison(workload, labels[0], labels[-1], cmp)))
     return 0
 

@@ -24,7 +24,7 @@ from .milp import build_model, write_lp
 from .model import DemandStream, NfviGraph
 from .oracle import exact_oracle
 from .orbit import run_stream, verify_guarantees
-from .partition import partition
+from .partition import Partitioning, partition
 from .routing import format_number, unit_weights
 
 SWEEP_HEADER = "kappa,epsilon,max_link_utilization,acceptance_ratio"
@@ -160,6 +160,23 @@ def _prefix_weights(
     return unit_weights(g)
 
 
+def _run_orbit(
+    g: NfviGraph,
+    demands: DemandStream,
+    part: Partitioning,
+    w: dict[str, int],
+    out: str,
+    tag: str,
+) -> tuple[float, float]:
+    """Replay the stream through the online algorithm, write
+    ``guarantees_<tag>.txt`` and ``events_<tag>.csv`` under ``out`` and
+    return the run's largest link utilization and acceptance ratio."""
+    state = run_stream(g, demands, part, w)
+    write_text(os.path.join(out, f"guarantees_{tag}.txt"), verify_guarantees(state).render())
+    write_text(os.path.join(out, f"events_{tag}.csv"), state.events_csv())
+    return state.max_utilization(), state.acceptance_ratio()
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     g, demands = _load(args)
     w = _prefix_weights(g, demands, args.wmax, args.oracle_prefix)
@@ -175,24 +192,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            state = run_stream(g, demands, part, w)
+            tag = f"k{kappa}_e{format_number(eps)}"
+            r, acc = _run_orbit(g, demands, part, w, args.out, tag)
             ran += 1
             rows.append(
-                ",".join(
-                    [
-                        str(kappa),
-                        format_number(eps),
-                        format_number(state.max_utilization()),
-                        format_number(state.acceptance_ratio()),
-                    ]
-                )
+                ",".join([str(kappa), format_number(eps), format_number(r), format_number(acc)])
             )
-            tag = f"k{kappa}_e{format_number(eps)}"
-            write_text(
-                os.path.join(args.out, f"guarantees_{tag}.txt"),
-                verify_guarantees(state).render(),
-            )
-            write_text(os.path.join(args.out, f"events_{tag}.csv"), state.events_csv())
     if ran == 0:
         print("error: no (kappa, epsilon) pair was feasible", file=sys.stderr)
         return 1
@@ -211,14 +216,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         if algo == "orbit":
             w = _prefix_weights(g, demands, args.wmax, args.oracle_prefix)
             part = partition(g, args.kappa[0], args.epsilon[0], args.seed)
-            state = run_stream(g, demands, part, w)
-            r = state.max_utilization()
-            acc = state.acceptance_ratio()
-            write_text(
-                os.path.join(args.out, "guarantees_compare.txt"),
-                verify_guarantees(state).render(),
-            )
-            write_text(os.path.join(args.out, "events_compare.csv"), state.events_csv())
+            r, acc = _run_orbit(g, demands, part, w, args.out, "compare")
         elif algo == "oracle":
             try:
                 oracle = exact_oracle(g, list(demands), args.wmax)

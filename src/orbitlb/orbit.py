@@ -94,7 +94,6 @@ class OrbitState:
         k = partitioning.kappa
         self.z: list[float] = [0.0] * k
         self.zeta: dict[int, int] = {}
-        self.q: dict[int, set[int]] = {i: set() for i in range(k)}
         self.demand_q: dict[int, tuple[int, ...]] = {}
         # accepted demands' loads; chi and residual_node are the ledger's dicts
         self.loads = UtilizationReport(g)
@@ -105,7 +104,6 @@ class OrbitState:
         self.trace: list[tuple[int, float, int]] = []
         self.events: list[EventRecord] = []
         self.accepted_count: int = 0
-        self.processed_count: int = 0
         self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
 
     def max_utilization(self) -> float:
@@ -113,9 +111,9 @@ class OrbitState:
         return max((self.chi[e.id] / e.capacity for e in self.g.links), default=0.0)
 
     def acceptance_ratio(self) -> float:
-        if self.processed_count == 0:
+        if not self.demand_q:
             return 1.0
-        return self.accepted_count / self.processed_count
+        return self.accepted_count / len(self.demand_q)
 
     def events_csv(self) -> str:
         lines = [EVENT_HEADER]
@@ -125,18 +123,15 @@ class OrbitState:
 
 def eligible_partitions(
     d: ServiceDemand, part: Partitioning, g: NfviGraph, residual_node: dict[str, float]
-) -> list[int]:
-    """Groups able to host every function of the chain on some member node
-    with compute left.  An empty chain makes every group eligible."""
-    out = []
+) -> dict[int, set[str]]:
+    """Each eligible group's members with compute left, in group order.  A
+    group is eligible when those members can host every function of the
+    chain; an empty chain makes every group eligible."""
+    out = {}
     for p in part.parts:
-        ok = True
-        for fn in d.chain:
-            if not any(g.can_host(v, fn) and residual_node[v] > 0 for v in p.nodes):
-                ok = False
-                break
-        if ok:
-            out.append(p.index)
+        hosts = {v for v in p.nodes if residual_node[v] > 0}
+        if all(any(g.can_host(v, fn) for v in hosts) for fn in d.chain):
+            out[p.index] = hosts
     return out
 
 
@@ -178,11 +173,8 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
     """
     if d.id in state.demand_q:
         raise ValidationError([f"demand {d.id} was already processed"])
-    state.processed_count += 1
-    q_ids = eligible_partitions(d, state.part, state.g, state.residual_node)
-    for i in q_ids:
-        state.q[i].add(d.id)
-    state.demand_q[d.id] = tuple(q_ids)
+    hosts = eligible_partitions(d, state.part, state.g, state.residual_node)
+    q_ids = state.demand_q[d.id] = tuple(hosts)
     state.zeta[d.id] = 0
 
     eps = state.part.epsilon
@@ -218,8 +210,7 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
             break
         fields[i] = field
     for i, field in fields.items():
-        hosts = {v for v in state.part.parts[i].nodes if state.residual_node[v] > 0}
-        alloc = route_demand_sfc(state.g, field, d, amount=shares[i], allowed_hosts=hosts)
+        alloc = route_demand_sfc(state.g, field, d, amount=shares[i], allowed_hosts=hosts[i])
         if alloc is None:
             reason = "capacity"
             break
@@ -254,14 +245,6 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
         shares=shares,
         link_delta=link_delta,
     )
-
-
-def primal_cost(state: OrbitState) -> float:
-    return sum(p.pi * state.z[p.index] for p in state.part.parts)
-
-
-def dual_cost(state: OrbitState) -> int:
-    return sum(state.zeta.values())
 
 
 @dataclass(frozen=True)
@@ -318,9 +301,13 @@ def verify_guarantees(state: OrbitState) -> GuaranteeReport:
     worst: tuple[float, int] | None = None
     cover_ok = True
     detail = "no demands with eligible groups"
+    # each group's dual load: the duals of the demands it was eligible for
+    loads = {p.index: 0 for p in state.part.parts}
     for d_id, q_ids in state.demand_q.items():
         if not q_ids:
             continue
+        for i in q_ids:
+            loads[i] += state.zeta[d_id]
         total = sum(state.z[i] for i in q_ids)
         if worst is None or total < worst[0]:
             worst = (total, d_id)
@@ -329,10 +316,6 @@ def verify_guarantees(state: OrbitState) -> GuaranteeReport:
         detail = f"min coverage {worst[0]:.12g} at demand {worst[1]}"
     checks.append(GuaranteeCheck("coverage", cover_ok, detail))
 
-    loads = {
-        p.index: sum(state.zeta[d_id] for d_id in state.q[p.index])
-        for p in state.part.parts
-    }
     dual_ok = True
     details = []
     for p in state.part.parts:
@@ -360,13 +343,12 @@ def verify_guarantees(state: OrbitState) -> GuaranteeReport:
         )
     )
 
-    p_now = primal_cost(state)
-    d_now = dual_cost(state)
+    p_now = sum(p.pi * state.z[p.index] for p in state.part.parts)
     checks.append(
         GuaranteeCheck(
             "cost_gap",
-            p_now <= 2.0 * d_now + GUARANTEE_TOL,
-            f"primal {p_now:.12g} vs dual {d_now}",
+            p_now <= 2.0 * state.d_o + GUARANTEE_TOL,
+            f"primal {p_now:.12g} vs dual {state.d_o}",
         )
     )
 
@@ -382,7 +364,11 @@ def verify_guarantees(state: OrbitState) -> GuaranteeReport:
     floor_ok = True
     floor_detail = "all groups at or above the growth floor"
     for p in state.part.parts:
-        floor = ((1.0 + 1.0 / (p.pi * eps)) ** loads[p.index] - 1.0) / kappa
+        try:
+            floor = ((1.0 + 1.0 / (p.pi * eps)) ** loads[p.index] - 1.0) / kappa
+        except OverflowError:
+            # a floor past the float range is above any fraction
+            floor = INF
         if state.z[p.index] < floor - GUARANTEE_TOL:
             floor_ok = False
             floor_detail = (

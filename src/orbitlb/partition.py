@@ -40,9 +40,11 @@ class Partitioning:
 
     def verify(self, g: NfviGraph) -> list[str]:
         """Diagnostics for the structural invariants (disjoint cover,
-        balance, positive costs)."""
+        balance, positive costs) and for groups whose internal links leave
+        their members in more than one piece."""
         problems: list[str] = []
         seen: set[str] = set()
+        pair_cap = _pair_capacity(g)
         for p in self.parts:
             if len(p.nodes) > self.size_bound + BALANCE_FUZZ:
                 problems.append(
@@ -50,6 +52,12 @@ class Partitioning:
                 )
             if p.pi < 1.0:
                 problems.append(f"group {p.index} cost {p.pi} is below 1")
+            pieces = _spanning_forest(p.nodes, pair_cap)[1]
+            if pieces > 1:
+                problems.append(
+                    f"group {p.index} internal links leave its {len(p.nodes)} nodes"
+                    f" in {pieces} pieces"
+                )
             overlap = seen & p.nodes
             if overlap:
                 problems.append(f"group {p.index} shares nodes {sorted(overlap)}")
@@ -69,9 +77,12 @@ def _pair_capacity(g: NfviGraph) -> dict[tuple[str, str], float]:
     return cap
 
 
-def _mst_bandwidth(nodes: frozenset[str], pair_cap: dict[tuple[str, str], float]) -> float:
-    """Kruskal over the group's internal support edges; disconnected groups
-    contribute a spanning forest."""
+def _spanning_forest(
+    nodes: frozenset[str], pair_cap: dict[tuple[str, str], float]
+) -> tuple[float, int]:
+    """Kruskal over the group's internal support edges: the bandwidth of a
+    minimum spanning forest and its number of trees, one per piece the
+    internal links leave the group in."""
     edges = sorted(
         ((c, u, v) for (u, v), c in pair_cap.items() if u in nodes and v in nodes),
         key=lambda t: (t[0], t[1], t[2]),
@@ -85,12 +96,14 @@ def _mst_bandwidth(nodes: frozenset[str], pair_cap: dict[tuple[str, str], float]
         return v
 
     total = 0.0
+    pieces = len(nodes)
     for c, u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
             total += c
-    return total
+            pieces -= 1
+    return total, pieces
 
 
 def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partitioning:
@@ -207,7 +220,7 @@ def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partit
     for i in range(kappa):
         members = frozenset(v for v in nodes if assign[v] == i)
         link_ids = tuple(e.id for e in g.links if e.src in members and e.dst in members)
-        pi = max(1.0, _mst_bandwidth(members, pair_cap))
+        pi = max(1.0, _spanning_forest(members, pair_cap)[0])
         parts.append(Partition(index=i, nodes=members, link_ids=link_ids, pi=pi))
     return Partitioning(
         parts=tuple(parts),

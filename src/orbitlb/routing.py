@@ -380,11 +380,6 @@ class UtilizationReport:
         self._link_limit = {e.id: e.capacity + capacity_slack(e.capacity) for e in g.links}
         self._node_slack = {v: capacity_slack(c) for v, c in g.node_capacity.items()}
 
-    @property
-    def per_link(self) -> dict[str, float]:
-        cap = self._capacity
-        return {eid: x / cap[eid] for eid, x in self.chi.items()}
-
     def fits(self, link_flow: dict[str, float], usage: dict[str, float]) -> bool:
         """Whether adding these link flows and node usages keeps every link
         and node within capacity."""
@@ -441,13 +436,9 @@ def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
     return usage
 
 
-def max_link_utilization(
-    allocs: FlowAllocation | list[FlowAllocation], g: NfviGraph
-) -> UtilizationReport:
+def max_link_utilization(allocs: list[FlowAllocation], g: NfviGraph) -> UtilizationReport:
     """Aggregate link utilizations and per-node compute usage; r is a
     ratio, never a gate."""
-    if isinstance(allocs, FlowAllocation):
-        allocs = [allocs]
     loads = UtilizationReport(g)
     for alloc in allocs:
         loads.add(alloc.link_flow, _alloc_node_usage(alloc, g))

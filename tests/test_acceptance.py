@@ -100,7 +100,7 @@ def test_criterion_3_dual_load_bound(stream_runs):
         eps = state.part.epsilon
         cap = math.log(3 * kappa + 1)
         for i, part_i in enumerate(state.part.parts):
-            load = sum(state.zeta[d_id] for d_id in state.q[i])
+            load = sum(state.zeta[d_id] for d_id, q in state.demand_q.items() if i in q)
             assert load <= cap * (1.0 + part_i.pi * eps) + TOL
             groups += 1
         for z_i in state.z:

@@ -73,8 +73,9 @@ def test_comparison_counts_wins_by_each_metrics_direction():
     parent = side_entry({1: (100.0, 2.0), 2: (110.0, 2.0), 3: (120.0, 1.0), 4: (130.0, 3.0)})
     change = side_entry({1: (150.0, 1.0), 2: (110.0, 2.5), 3: (90.0, 0.5), 4: (160.0, 3.0)},
                         digests={3: "other"})
-    better = {"ops_per_s": "higher", "op_p50_ms": "lower", "peak_rss_mb": "lower"}
-    cmp = bench_record.compare(parent, change, better)
+    spec = {"ops_per_s": ("higher", 0.25), "op_p50_ms": ("lower", 0.25),
+            "peak_rss_mb": ("lower", 0.1)}
+    cmp = bench_record.compare(parent, change, spec)
     ops, p50 = cmp["metrics"]["ops_per_s"], cmp["metrics"]["op_p50_ms"]
     # seed 2 ties on ops_per_s and seed 4 on op_p50_ms: neither side wins those
     assert (ops["last_wins"], ops["first_wins"], ops["pairs"]) == (2, 1, 4)
@@ -85,19 +86,49 @@ def test_comparison_counts_wins_by_each_metrics_direction():
     lines = bench_record.render_comparison("w", "parent", "change", cmp)
     assert lines[0] == "w: change against parent"
     assert lines[1] == ("  ops_per_s (higher is better): change wins 2/4 pairs, parent wins 1;"
-                        " median 115 -> 130, parent IQR 15")
+                        " median 115 -> 130, parent IQR 15; within bound 0.25")
     assert lines[-1] == "  digests DIFFER at seeds 3"
-    same = bench_record.compare(parent, parent, better)
+    same = bench_record.compare(parent, parent, spec)
     assert same["digests_differ"] == [] and same["metrics"]["ops_per_s"]["last_wins"] == 0
     assert bench_record.render_comparison("w", "a", "b", same)[-1] == "  digests equal at every seed"
 
 
 def test_comparison_refuses_sides_with_different_seeds():
     with pytest.raises(ValueError):
-        bench_record.compare(side_entry({1: (1.0, 1.0)}), side_entry({2: (1.0, 1.0)}), {"ops_per_s": "higher"})
+        bench_record.compare(side_entry({1: (1.0, 1.0)}), side_entry({2: (1.0, 1.0)}),
+                             {"ops_per_s": ("higher", 0.25)})
 
 
 def test_directions_are_read_from_the_benchmark_file():
-    better = bench_record.metric_directions(bench_record.BENCHMARK)
-    assert better["ops_per_s"] == "higher"
-    assert better["op_p50_ms"] == better["setup_s"] == better["peak_rss_mb"] == "lower"
+    spec = bench_record.end_to_end_metrics(bench_record.BENCHMARK)
+    assert spec["ops_per_s"] == ("higher", 0.25)
+    assert spec["op_p50_ms"][0] == spec["setup_s"][0] == spec["peak_rss_mb"][0] == "lower"
+    assert spec["peak_rss_mb"][1] == 0.1
+
+
+def verdict_of(parent_ops: list[float], change_ops: list[float]) -> str:
+    """The ops_per_s verdict, bound 0.25, between canned sides."""
+    parent = side_entry({k: (ops, 1.0) for k, ops in enumerate(parent_ops)})
+    change = side_entry({k: (ops, 1.0) for k, ops in enumerate(change_ops)})
+    return bench_record.compare(parent, change, {"ops_per_s": ("higher", 0.25)})[
+        "metrics"]["ops_per_s"]["verdict"]
+
+
+def test_verdict_against_the_bound():
+    tight = [96.0, 98.0, 100.0, 102.0, 104.0]  # IQR 4 on a median of 100
+    assert verdict_of(tight, [90.0, 92.0, 94.0, 96.0, 98.0]) == "within bound"
+    assert verdict_of(tight, [70.0, 72.0, 74.0, 76.0, 78.0]) == "WORSE than bound"
+    # a median 25% lower is at the bound, not past it
+    assert verdict_of(tight, [70.0, 72.0, 75.0, 76.0, 78.0]) == "within bound"
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0]  # IQR 40 on a median of 100
+    assert verdict_of(wide, [60.0, 80.0, 100.0, 120.0, 140.0]) == "unresolved"
+    assert verdict_of(wide, [10.0, 20.0, 30.0, 40.0, 50.0]) == "unresolved"
+    # every run of the change beats every run of the parent
+    assert verdict_of(wide, [141.0, 150.0, 160.0, 170.0, 180.0]) == "within bound"
+    assert verdict_of([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]) == "within bound"
+    assert verdict_of([0.0, 0.0, 0.0], [-1.0, -1.0, 0.0]) == "WORSE than bound"
+
+
+def test_src_lines_line_names_every_side():
+    points = [{"label": "parent", "src_lines": 2882}, {"label": "change", "src_lines": 2850}]
+    assert bench_record.render_src_lines(points) == "src_lines: parent 2882, change 2850"

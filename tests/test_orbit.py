@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbitlb import orbit
+from orbitlb import dataset_path, orbit
 from orbitlb.errors import PartitionError, ValidationError
+from orbitlb.fileio import load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import exact_oracle
 from orbitlb.orbit import (
@@ -162,15 +163,18 @@ def test_eligibility_rules():
         Partition(1, frozenset({"c", "d"}), (), 1.0),
     )
     partng = Partitioning(parts, kappa=2, epsilon=2.0, seed=0, size_bound=4.0)
+    # each eligible group maps to its members with compute left, so b,
+    # which has no compute budget, is never a host
     chainless = ServiceDemand(0, "a", "c", 1.0, ())
-    assert eligible_partitions(chainless, partng, g, g.node_capacity) == [0, 1]
+    got = eligible_partitions(chainless, partng, g, g.node_capacity)
+    assert got == {0: {"a"}, 1: {"c", "d"}} and list(got) == [0, 1]
     fw = ServiceDemand(1, "a", "c", 1.0, ("fw",))
-    assert eligible_partitions(fw, partng, g, g.node_capacity) == [0]
+    assert eligible_partitions(fw, partng, g, g.node_capacity) == {0: {"a"}}
     # b hosts dpi but has no compute budget left
     dpi = ServiceDemand(2, "a", "d", 1.0, ("dpi",))
-    assert eligible_partitions(dpi, partng, g, g.node_capacity) == [1]
+    assert eligible_partitions(dpi, partng, g, g.node_capacity) == {1: {"c", "d"}}
     both = ServiceDemand(3, "a", "d", 1.0, ("fw", "dpi"))
-    assert eligible_partitions(both, partng, g, g.node_capacity) == []
+    assert eligible_partitions(both, partng, g, g.node_capacity) == {}
 
 
 def test_event_log_header_and_shape():
@@ -207,6 +211,22 @@ def test_injected_fault_is_flagged():
     assert not report.ok
     assert any(c.name == "share_cap" and not c.ok for c in report.checks)
     assert "VIOLATED" in report.render()
+
+
+def test_overflowing_growth_floor_is_reported_as_violated():
+    """A dual load whose growth floor leaves the float range is reported as
+    a violation, not raised."""
+    g = load_topology(dataset_path("geant.topo"))
+    state = run_stream(g, load_demands(dataset_path("geant.demands"), g), partition(g, 2, 2.0))
+    assert verify_guarantees(state).ok
+    assert state.part.parts[0].pi == 1.0
+    d_id = next(k for k, q in state.demand_q.items() if 0 in q)
+    state.zeta[d_id] += 2000  # 1.5 ** 2000 overflows a float
+    report = verify_guarantees(state)
+    failed = {c.name for c in report.checks if not c.ok}
+    assert failed == {"dual_load", "growth_floor"}
+    assert "dual_load: VIOLATED" in report.render()
+    assert "growth_floor: VIOLATED" in report.render()
 
 
 def test_single_group_dual_scale_is_undefined():
@@ -333,7 +353,7 @@ def test_online_cost_within_twice_scaled_offline_optimum():
         if state.d_o == 0:
             continue
         loads = {
-            p.index: sum(state.zeta[d_id] for d_id in state.q[p.index])
+            p.index: sum(state.zeta[d_id] for d_id, q in state.demand_q.items() if p.index in q)
             for p in state.part.parts
         }
         sigma = max(loads[p.index] / p.pi for p in state.part.parts)
@@ -480,16 +500,18 @@ def split_group_instance() -> tuple[NfviGraph, Partitioning]:
     return g, Partitioning(parts, kappa=2, epsilon=1.0, seed=0, size_bound=4.0)
 
 
+def test_verify_reports_the_split_group():
+    g, part = split_group_instance()
+    assert part.verify(g) == ["group 1 internal links leave its 4 nodes in 2 pieces"]
+
+
 def parent_process_demand(state, d, cut):
     """``process_demand`` as it was before the reachability pre-check: every
     share is routed in group order until one has no route.  ``cut`` maps the
     demand to the eligible groups whose share field cannot join its
     endpoints."""
-    state.processed_count += 1
-    q_ids = eligible_partitions(d, state.part, state.g, state.residual_node)
-    for i in q_ids:
-        state.q[i].add(d.id)
-    state.demand_q[d.id] = tuple(q_ids)
+    hosts = eligible_partitions(d, state.part, state.g, state.residual_node)
+    q_ids = state.demand_q[d.id] = tuple(hosts)
     state.zeta[d.id] = 0
     eps = state.part.epsilon
     while q_ids and sum(state.z[i] for i in q_ids) < 1.0:
@@ -519,9 +541,8 @@ def parent_process_demand(state, d, cut):
             alloc = FlowAllocation(d.id, (d.src, d.dst), d.chain, {})
         else:
             field = orbit._share_field(state, i, d)
-            hosts = {v for v in state.part.parts[i].nodes if state.residual_node[v] > 0}
             alloc = None if field is None else route_demand_sfc(
-                state.g, field, d, amount=shares[i], allowed_hosts=hosts)
+                state.g, field, d, amount=shares[i], allowed_hosts=hosts[i])
         if alloc is None:
             reason = "capacity"
             break

@@ -11,9 +11,11 @@ import sys
 import pytest
 
 import orbitlb
+from orbitlb import dataset_path
 from orbitlb.errors import PartitionError
+from orbitlb.fileio import load_topology
 from orbitlb.model import Link, NfviGraph
-from orbitlb.partition import _mst_bandwidth, _pair_capacity, partition
+from orbitlb.partition import _pair_capacity, _spanning_forest, partition
 from tests.conftest import random_connected_graph
 
 
@@ -38,7 +40,28 @@ def test_pair_capacity_sums_both_directions():
 
 def test_mst_bandwidth_of_disconnected_set_spans_components():
     pc = {("a", "b"): 2.0}
-    assert _mst_bandwidth(frozenset({"a", "b", "c"}), pc) == 2.0
+    assert _spanning_forest(frozenset({"a", "b", "c"}), pc) == (2.0, 2)
+
+
+def test_verify_reports_groups_split_by_their_internal_links():
+    geant = load_topology(dataset_path("geant.topo"))
+    assert partition(geant, 2, 1.0).verify(geant) == [
+        "group 1 internal links leave its 11 nodes in 2 pieces"
+    ]
+    part = partition(geant, 3, 1.5)
+    assert part.verify(geant) == ["group 0 internal links leave its 4 nodes in 2 pieces"]
+    pc = _pair_capacity(geant)
+    assert part.parts[0].nodes == {"AMS", "ATH", "DUB", "FRA"}
+    assert _spanning_forest(frozenset({"AMS", "ATH"}), pc)[1] == 1
+    assert _spanning_forest(frozenset({"DUB", "FRA"}), pc)[1] == 1
+    internet2 = load_topology(dataset_path("internet2.topo"))
+    for kappa in range(1, 6):
+        for eps in range(1, 6):
+            try:
+                part = partition(internet2, kappa, float(eps))
+            except PartitionError:
+                continue
+            assert part.verify(internet2) == []
 
 
 def test_group_cost_clamped_to_one():
