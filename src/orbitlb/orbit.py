@@ -130,7 +130,7 @@ def eligible_partitions(
     out = {}
     for p in part.parts:
         hosts = {v for v in p.nodes if residual_node[v] > 0}
-        if all(any(g.can_host(v, fn) for v in hosts) for fn in d.chain):
+        if all(not hosts.isdisjoint(g.hosts_of(fn)) for fn in d.chain):
             out[p.index] = hosts
     return out
 
