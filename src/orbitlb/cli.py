@@ -170,7 +170,13 @@ def _run_orbit(
 ) -> tuple[float, float]:
     """Replay the stream through the online algorithm, write
     ``guarantees_<tag>.txt`` and ``events_<tag>.csv`` under ``out`` and
-    return the run's largest link utilization and acceptance ratio."""
+    return the run's largest link utilization and acceptance ratio.  Each
+    problem ``part.verify`` reports is printed to stderr as a warning."""
+    for problem in part.verify(g):
+        print(
+            f"warning: kappa={part.kappa} epsilon={format_number(part.epsilon)}: {problem}",
+            file=sys.stderr,
+        )
     state = run_stream(g, demands, part, w)
     write_text(os.path.join(out, f"guarantees_{tag}.txt"), verify_guarantees(state).render())
     write_text(os.path.join(out, f"events_{tag}.csv"), state.events_csv())
@@ -261,7 +267,8 @@ def _run_export(args: argparse.Namespace) -> int:
     path = os.path.join(args.out, "model.lp")
     counts = write_lp(model, path)
     summary = " ".join(f"{fam}:{counts[fam]}" for fam in sorted(counts, key=lambda f: int(f)))
-    print(f"wrote {path} ({len(model.variables)} variables; constraints {summary})")
+    n_vars = sum(1 for _ in model.iter_variables())
+    print(f"wrote {path} ({n_vars} variables; constraints {summary})")
     return 0
 
 

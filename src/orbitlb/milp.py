@@ -48,13 +48,6 @@ class Row(NamedTuple):
     side: str = ""  # "lo"/"hi" halves of a two-sided constraint, else ""
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str  # "continuous", "integer", "binary"
-    lb: float = 0.0
-
-
 def _wvar(eid: str) -> str:
     return f"w_{eid}"
 
@@ -81,17 +74,41 @@ def _bvar(eid: str, p: int, d: int) -> str:
 
 @dataclass
 class MilpModel:
-    """The instance, its variables and the model's constants.  Constraint
-    rows are not stored: ``iter_rows`` yields each one as it is built."""
+    """The instance and the model's constants.  Variables and constraint
+    rows are not stored: ``iter_variables`` and ``iter_rows`` yield them."""
 
     g: NfviGraph
     demands: tuple[ServiceDemand, ...]
-    variables: dict[str, Variable]
-    objective: str
     m_z: float
-    delta: float
     flows_per_demand: int
     targets: tuple[str, ...]
+
+    def iter_variables(self) -> Iterator[tuple[str, str, float]]:
+        """Every variable as ``(name, kind, lower bound)``, kind one of
+        "continuous", "integer" and "binary", in declaration order: r, the
+        link weights, then per target the distance labels (nodes v != t),
+        link-use indicators and split rates, then per demand and flow copy
+        each link's traffic and use indicator."""
+        eids = [e.id for e in self.g.links]
+        nodes = self.g.node_capacity
+        yield "r", "continuous", 0.0
+        for eid in eids:
+            yield _wvar(eid), "integer", 1.0
+        for t in self.targets:
+            for v in nodes:
+                if v != t:
+                    yield _lvar(v, t), "integer", 0.0
+            for eid in eids:
+                yield _uvar(eid, t), "binary", 0.0
+            for v in nodes:
+                yield _gvar(v, t), "continuous", 0.0
+        prefixes = [(f"x_{eid}_", f"b_{eid}_") for eid in eids]
+        for d in self.demands:
+            for p in range(self.flows_per_demand):
+                s = f"{p}_{d.id}"
+                for xp, bp in prefixes:
+                    yield xp + s, "continuous", 0.0
+                    yield bp + s, "binary", 0.0
 
     def iter_rows(self) -> Iterator[Row]:
         """Every constraint row, family by family in the order 1..14.
@@ -270,57 +287,28 @@ def _count(counts: dict[str, int], row: Row) -> None:
 def build_model(
     g: NfviGraph, demands: list[ServiceDemand], flows_per_demand: int = 2
 ) -> MilpModel:
-    """Check the instance and declare every variable; the model yields its
-    constraint rows on demand.  Targets are the distinct demand destinations.
-    Raises ValidationError when ``validate`` or ``validate_demands`` reports
-    a problem, since the rows assume a well-formed instance.
+    """Check the instance; the model yields its variables and constraint
+    rows on demand.  Targets are the distinct demand destinations.  Raises
+    ValidationError when ``validate`` or ``validate_demands`` reports a
+    problem, since the rows assume a well-formed instance, or when two
+    generated variable names collide.
     """
     if flows_per_demand < 1:
         raise ValidationError([f"flows per demand must be >= 1, got {flows_per_demand}"])
     problems = validate(g) + validate_demands(demands, g)
     if problems:
         raise ValidationError(problems)
-    m_z = g.max_link_capacity()
-    targets = tuple(sorted({d.dst for d in demands}))
-    flows = range(flows_per_demand)
-
-    variables: dict[str, Variable] = {"r": Variable("r", "continuous")}
-    for e in g.links:
-        variables[_wvar(e.id)] = Variable(_wvar(e.id), "integer", lb=1.0)
-    for t in targets:
-        for v in g.node_capacity:
-            if v != t:
-                variables[_lvar(v, t)] = Variable(_lvar(v, t), "integer")
-        for e in g.links:
-            variables[_uvar(e.id, t)] = Variable(_uvar(e.id, t), "binary")
-        for v in g.node_capacity:
-            variables[_gvar(v, t)] = Variable(_gvar(v, t), "continuous")
-    for d in demands:
-        for p in flows:
-            for e in g.links:
-                variables[_xvar(e.id, p, d.id)] = Variable(_xvar(e.id, p, d.id), "continuous")
-                variables[_bvar(e.id, p, d.id)] = Variable(_bvar(e.id, p, d.id), "binary")
-    expected = (
-        1
-        + len(g.links)
-        + len(targets) * (len(g.node_capacity) - 1)
-        + len(targets) * len(g.links)
-        + len(targets) * len(g.node_capacity)
-        + 2 * len(demands) * flows_per_demand * len(g.links)
-    )
-    if len(variables) != expected:
-        raise ValidationError(["generated variable names collide; use distinct ids"])
-
-    return MilpModel(
+    model = MilpModel(
         g=g,
         demands=tuple(demands),
-        variables=variables,
-        objective="r",
-        m_z=m_z,
-        delta=DELTA,
+        m_z=g.max_link_capacity(),
         flows_per_demand=flows_per_demand,
-        targets=targets,
+        targets=tuple(sorted({d.dst for d in demands})),
     )
+    names = [name for name, _kind, _lb in model.iter_variables()]
+    if len(set(names)) != len(names):
+        raise ValidationError(["generated variable names collide; use distinct ids"])
+    return model
 
 
 class _NumberText(dict):
@@ -371,12 +359,12 @@ def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
     (they carry no variables and LP rows cannot be empty) but still counted:
     ``counts`` receives the constraints per family as the rows go by."""
     yield (
-        f"\\ delta = {format_number(model.delta)} "
+        f"\\ delta = {format_number(DELTA)} "
         "(relaxation of strict traversal inequalities)\n"
     )
     yield f"\\ M_z = {format_number(model.m_z)}\n"
     yield "Minimize\n"
-    yield f" obj: + {model.objective}\n"
+    yield " obj: + r\n"
     yield "Subject To\n"
     prefix, rhs_text = _NumberText(_term_prefix), _NumberText(format_number)
     for row in model.iter_rows():
@@ -386,17 +374,13 @@ def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
                 f" {row.name}: {_format_terms(row.terms, prefix)} {row.sense} "
                 f"{rhs_text[row.rhs]}\n"
             )
-    variables = model.variables.values()
+    variables = model.iter_variables
     yield from _section(
         "Bounds\n",
-        (f" {v.name} >= {format_number(v.lb)}\n" for v in variables if v.lb != 0.0),
+        (f" {n} >= {format_number(lb)}\n" for n, _k, lb in variables() if lb != 0.0),
     )
-    yield from _section(
-        "Generals\n", (f" {v.name}\n" for v in variables if v.kind == "integer")
-    )
-    yield from _section(
-        "Binaries\n", (f" {v.name}\n" for v in variables if v.kind == "binary")
-    )
+    yield from _section("Generals\n", (f" {n}\n" for n, k, _lb in variables() if k == "integer"))
+    yield from _section("Binaries\n", (f" {n}\n" for n, k, _lb in variables() if k == "binary"))
     yield "End\n"
 
 
@@ -411,7 +395,6 @@ def write_lp(model: MilpModel, path: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     write_text(path, _lp_lines(model, counts))
     return counts
-
 
 
 @dataclass(frozen=True)
@@ -457,18 +440,18 @@ def check_solution(model: MilpModel, cand: SolutionCandidate) -> FeasibilityRepo
     Violations carry the constraint family and the residual by which the row
     fails; relative tolerance 1e-9 on the larger of 1, |lhs|, |rhs|.
     """
-    missing = [name for name in model.variables if name not in cand.values]
+    missing = [name for name, _kind, _lb in model.iter_variables() if name not in cand.values]
     if missing:
         raise ValidationError([f"candidate is missing variable {n}" for n in missing[:20]])
     violations: list[Violation] = []
-    for var in model.variables.values():
-        val = cand.values[var.name]
-        if var.kind in ("integer", "binary") and abs(val - round(val)) > CHECK_TOL:
-            violations.append(Violation(var.name, "domain", abs(val - round(val))))
-        if var.kind == "binary" and not (-CHECK_TOL <= val <= 1 + CHECK_TOL):
-            violations.append(Violation(var.name, "domain", abs(val - 0.5) - 0.5))
-        if val < var.lb - CHECK_TOL:
-            violations.append(Violation(var.name, "domain", var.lb - val))
+    for name, kind, lb in model.iter_variables():
+        val = cand.values[name]
+        if kind in ("integer", "binary") and abs(val - round(val)) > CHECK_TOL:
+            violations.append(Violation(name, "domain", abs(val - round(val))))
+        if kind == "binary" and not (-CHECK_TOL <= val <= 1 + CHECK_TOL):
+            violations.append(Violation(name, "domain", abs(val - 0.5) - 0.5))
+        if val < lb - CHECK_TOL:
+            violations.append(Violation(name, "domain", lb - val))
     for row in model.iter_rows():
         lhs = sum(c * cand.values[v] for c, v in row.terms)
         tol = CHECK_TOL * max(1.0, abs(lhs), abs(row.rhs))

@@ -164,7 +164,9 @@ def validate(graph: NfviGraph) -> list[str]:
     for v, cap in graph.node_capacity.items():
         if not ID_PATTERN.match(v):
             problems.append(f"node id {v!r} contains unsupported characters")
-        if cap < 0:
+        if not math.isfinite(cap):
+            problems.append(f"node {v}: compute capacity {cap} is not finite")
+        elif cap < 0:
             problems.append(f"node {v}: negative compute capacity {cap}")
     for e in graph.links:
         if e.id in seen_links:
@@ -178,7 +180,9 @@ def validate(graph: NfviGraph) -> list[str]:
             problems.append(f"link {e.id}: end node {e.dst} is not declared")
         if e.src == e.dst:
             problems.append(f"link {e.id}: self-loop at {e.src}")
-        if e.capacity <= 0:
+        if not math.isfinite(e.capacity):
+            problems.append(f"link {e.id}: capacity {e.capacity} is not finite")
+        elif e.capacity <= 0:
             problems.append(f"link {e.id}: capacity must be positive, got {e.capacity}")
     for fn in graph.vnf_catalog:
         if not ID_PATTERN.match(fn):
@@ -194,7 +198,9 @@ def validate(graph: NfviGraph) -> list[str]:
             problems.append(f"cost entry ({v}, {fn}): node {v} is not declared")
         if fn not in catalog:
             problems.append(f"cost entry ({v}, {fn}): function {fn} is not in the catalog")
-        if c < 0:
+        if not math.isfinite(c):
+            problems.append(f"cost entry ({v}, {fn}): cost {c} is not finite")
+        elif c < 0:
             problems.append(f"cost entry ({v}, {fn}): negative cost {c}")
     return problems
 

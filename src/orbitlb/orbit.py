@@ -157,6 +157,7 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
             for a, b in ((d.src, nearest_in[1]), (nearest_out[1], d.dst)):
                 if a != b:
                     link_ids.update(_split_segment(state.field, a, b, 1.0))
+            # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
             masked = ShortestPathField(state.g, state.w, link_ids)
         state._subgraphs[key] = masked
     return state._subgraphs[key]

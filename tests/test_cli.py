@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from orbitlb import dataset_path
 from orbitlb.cli import main
 
 DIAMOND_TOPO = """\
@@ -113,6 +114,34 @@ def test_sweep_empty_demand_file(diamond_files, tmp_path):
     assert code == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert lines[1] == "1,1,0,1"
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_group_in_pieces_is_warned_about(tmp_path, capsys, command):
+    extra = ["--algorithms", "orbit", "--oracle-prefix", "0"] if command == "compare" else []
+    code = main([
+        command,
+        "--topology", dataset_path("geant.topo"),
+        "--demands", dataset_path("geant.demands"),
+        "--kappa", "2", "--epsilon", "1", *extra,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: kappa=2 epsilon=1: group 1 internal links leave its 11 nodes in 2 pieces\n"
+    )
+
+
+def test_connected_groups_give_no_warning(tmp_path, capsys):
+    code = main([
+        "sweep",
+        "--topology", dataset_path("internet2.topo"),
+        "--demands", dataset_path("internet2.demands"),
+        "--kappa", "2", "--epsilon", "1",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_topology_file_exits_one(tmp_path, capsys):

@@ -9,9 +9,10 @@ infeasible.  The compare digests were taken from `compare --kappa 2
 --epsilon 2 --sa-iterations 3 --sa-cooling 0.5` before the command-line
 flags were checked by their argparse types; `compare.csv` is pinned without
 its wall-clock `runtime_ms` column, and the oracle row reads `nan` because
-the enumeration guard trips on both datasets.  The export digest is of
-`export --pd 2` on internet2, taken at the same commit.  Re-pin them only
-for a change that is meant to alter the outputs, and say why.
+the enumeration guard trips on both datasets.  The export digests are of
+`export --pd 2`: internet2's taken at the same commit, geant's before the
+model stopped storing its variable table.  Re-pin them only for a change
+that is meant to alter the outputs, and say why.
 """
 
 from __future__ import annotations
@@ -104,7 +105,12 @@ COMPARE_GOLDEN = {
 }
 
 EXPORT_GOLDEN = {
-    "model.lp": "850cd479ea6246d5a9322fbdfafa8a52aa76957235fbd6be32f39a1244662c19",
+    "internet2": {
+        "model.lp": "850cd479ea6246d5a9322fbdfafa8a52aa76957235fbd6be32f39a1244662c19",
+    },
+    "geant": {
+        "model.lp": "7c61e32d363cc060c3852aa753288a31a2aa058820eb8d978df25296adf6b6a4",
+    },
 }
 
 
@@ -134,16 +140,17 @@ def test_compare_outputs_match_pinned_digests(dataset, tmp_path):
 
 
 def test_export_model_matches_pinned_digest(tmp_path):
-    out = tmp_path / "internet2"
-    code = main([
-        "export",
-        "--topology", dataset_path("internet2.topo"),
-        "--demands", dataset_path("internet2.demands"),
-        "--pd", "2",
-        "--out", str(out),
-    ])
-    assert code == 0
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
-    }
-    assert digests == EXPORT_GOLDEN
+    for dataset, golden in sorted(EXPORT_GOLDEN.items()):
+        out = tmp_path / dataset
+        code = main([
+            "export",
+            "--topology", dataset_path(f"{dataset}.topo"),
+            "--demands", dataset_path(f"{dataset}.demands"),
+            "--pd", "2",
+            "--out", str(out),
+        ])
+        assert code == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+        }
+        assert digests == golden, dataset

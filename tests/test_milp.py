@@ -15,6 +15,7 @@ from orbitlb.milp import (
     DELTA,
     Row,
     SolutionCandidate,
+    Violation,
     build_model,
     candidate_from_routing,
     check_solution,
@@ -191,9 +192,10 @@ def test_streamed_export_matches_in_memory_export(tmp_path):
 
 
 def test_streamed_export_memory_stays_below_twice_the_file(tmp_path):
-    # building the model and writing it hold no row list and no LP string:
-    # the traced peak stays under twice the bytes written (about 1.4x here;
-    # rows held in memory before writing took about 12.7x)
+    # building the model and writing it hold no row list, no variable table
+    # and no LP string: the traced peak stays under twice the bytes written
+    # (about 0.45x here; 1.3x with a stored variable table, and about 12.7x
+    # with rows held in memory before writing)
     g, demands = internet2_prefix(30)
     path = str(tmp_path / "model.lp")
     tracemalloc.start()
@@ -205,6 +207,54 @@ def test_streamed_export_memory_stays_below_twice_the_file(tmp_path):
     written = os.path.getsize(path)
     assert written > 1_000_000
     assert peak < 2 * written
+
+
+def layout_case(name: str, diamond: NfviGraph) -> tuple[NfviGraph, list[ServiceDemand]]:
+    if name == "diamond":
+        return diamond, [one_demand()]
+    if name == "chained":
+        g = NfviGraph(
+            dict.fromkeys(diamond.nodes, 10.0),
+            diamond.links,
+            frozenset({"fw"}),
+            {("a", "fw")},
+            {("a", "fw"): 1.0},
+        )
+        return g, [ServiceDemand(0, "s", "t", 4.0, ("fw",)), ServiceDemand(1, "s", "a", 0.0, ())]
+    return internet2_prefix(5)
+
+
+@pytest.mark.parametrize("flows", [1, 2, 3])
+@pytest.mark.parametrize("case", ["diamond", "chained", "internet2"])
+def test_variable_layout(diamond, case, flows):
+    g, demands = layout_case(case, diamond)
+    model = build_model(g, demands, flows)
+    variables = list(model.iter_variables())
+    n, m, k = len(g.node_capacity), len(g.links), len(demands)
+    t = len({d.dst for d in demands})
+    assert len(variables) == 1 + m + t * (n - 1) + t * m + t * n + 2 * k * flows * m
+    names = [name for name, _kind, _lb in variables]
+    assert len(set(names)) == len(names)
+    per_kind: dict[str, set[str]] = {}
+    for name, kind, lb in variables:
+        assert lb == (1.0 if name.startswith("w_") else 0.0), name
+        per_kind.setdefault(kind, set()).add(name.split("_")[0])
+    assert per_kind == {"continuous": {"r", "g", "x"}, "integer": {"w", "l"}, "binary": {"u", "b"}}
+    text = export_lp(model)
+    generals = text.split("Generals\n")[1].split("Binaries\n")[0].split()
+    binaries = text.split("Binaries\n")[1].split("End\n")[0].split()
+    assert generals == [name for name, _kind, _lb in variables if name[0] in "wl"]
+    assert binaries == [name for name, _kind, _lb in variables if name[0] in "ub"]
+
+
+def test_geant_variable_count():
+    g = load_topology(dataset_path("geant.topo"))
+    demands = list(load_demands(dataset_path("geant.demands"), g))
+    n, m, k = len(g.node_capacity), len(g.links), len(demands)
+    t = len({d.dst for d in demands})
+    count = 1 + m + t * (n - 1) + t * m + t * n + 2 * k * 2 * m
+    assert count == 74_603
+    assert sum(1 for _ in build_model(g, demands, 2).iter_variables()) == count
 
 
 def test_self_loop_rejected():
@@ -222,6 +272,23 @@ def test_self_loop_rejected():
     )
     with pytest.raises(ValidationError, match="self-loop"):
         build_model(g, [ServiceDemand(0, "a", "c", 1.0, ())])
+
+
+def test_non_finite_capacity_rejected():
+    # an inf capacity would be written as a capacity and as M_z = inf
+    g = NfviGraph(
+        {"a": 0.0, "b": float("nan")},
+        (Link("ab", "a", "b", float("inf")), Link("ba", "b", "a", 10.0)),
+        frozenset(),
+        (),
+        {},
+    )
+    with pytest.raises(ValidationError) as exc:
+        build_model(g, [ServiceDemand(0, "a", "b", 1.0, ())])
+    assert exc.value.violations == [
+        "node b: compute capacity nan is not finite",
+        "link ab: capacity inf is not finite",
+    ]
 
 
 def test_unknown_demand_node_rejected(diamond):
@@ -460,6 +527,16 @@ def test_domain_violations_reported(diamond):
     kinds = {v.family for v in report.violations}
     assert "domain" in kinds
     assert not report.feasible
+
+
+def test_weight_below_its_lower_bound_reported(diamond):
+    model, cand = routed_candidate(diamond)
+    values = dict(cand.values)
+    values["w_e_sa"] = 0.0  # integral, but below the weight's bound of 1
+    report = check_solution(model, SolutionCandidate(values))
+    assert [v for v in report.violations if v.family == "domain"] == [
+        Violation("w_e_sa", "domain", 1.0)
+    ]
 
 
 def test_zero_demand_model_exports(diamond):

@@ -85,6 +85,26 @@ def test_negative_cost_flagged():
     assert any("negative cost" in v for v in validate(g))
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        (lambda x: {"nodes": {"a": x, "b": 20.0}}, "node a: compute capacity {} is not finite"),
+        (
+            lambda x: {"links": (Link("ab", "a", "b", x), Link("ba", "b", "a", 5.0))},
+            "link ab: capacity {} is not finite",
+        ),
+        (lambda x: {"vnf_cost": {("a", "fw"): x}}, "cost entry (a, fw): cost {} is not finite"),
+    ],
+    ids=["node", "link", "cost"],
+)
+def test_non_finite_number_flagged(x, overrides, expected):
+    assert validate(make_graph(**overrides(x))) == [expected.format(x)]
+
+
 def test_cost_defaults_to_zero_when_unpriced():
     g = make_graph(vnf_cost={})
     assert g.cost("a", "fw") == 0.0
