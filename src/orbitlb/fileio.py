@@ -101,6 +101,8 @@ def load_topology(path: str) -> NfviGraph:
             _arity(path, no, fields, 4)
             v = _ident(path, no, fields[1], "node id")
             fn = _ident(path, no, fields[2], "function id")
+            if (v, fn) in costs:
+                raise ParseError(path, no, f"cost of {fn} at {v} declared more than once")
             costs[(v, fn)] = _num(path, no, fields[3], "function cost")
         elif kind == "link":
             _arity(path, no, fields, 5)

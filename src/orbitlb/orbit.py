@@ -27,7 +27,7 @@ from .routing import (
     ShortestPathField,
     UtilizationReport,
     _alloc_node_usage,
-    _split_segment,
+    _reached,
     format_number,
     route_demand_sfc,
     shortest_path_field,
@@ -155,8 +155,9 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
         if nearest_in is not None and nearest_out is not None:
             link_ids = set(part.link_ids)
             for a, b in ((d.src, nearest_in[1]), (nearest_out[1], d.dst)):
-                if a != b:
-                    link_ids.update(_split_segment(state.field, a, b, 1.0))
+                link_ids.update(
+                    e.id for v in _reached(state.field, a, b) for e in state.field.out_links(v, b)
+                )
             # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
             masked = ShortestPathField(state.g, state.w, link_ids)
         state._subgraphs[key] = masked

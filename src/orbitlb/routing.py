@@ -68,8 +68,6 @@ class ShortestPathField:
         self._out: dict[str, dict[str, list[Link]]] = {}
         # _from[s][v] is the distance from s to v
         self._from: dict[str, dict[str, float]] = {}
-        # _order[t]: nodes at finite distance to t, farthest first, ties by id
-        self._order: dict[str, list[str]] = {}
 
     def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
         """Distances from root (forward, over out-links) or to root
@@ -131,18 +129,6 @@ class ShortestPathField:
     def on_shortest(self, e: Link, t: str) -> bool:
         return any(x.id == e.id for x in self.out_links(e.src, t))
 
-    def order(self, t: str) -> list[str]:
-        """Nodes at finite distance to t, sorted by (-dist(v, t), v): every
-        node comes before the heads of its tight out-links."""
-        order = self._order.get(t)
-        if order is None:
-            dist = self.to_target(t)
-            order = self._order[t] = sorted(
-                (v for v, dv in dist.items() if dv != INF),
-                key=lambda v: (-dist[v], v),
-            )
-        return order
-
     def _carry(self, prev: ShortestPathField) -> _Moves:
         """Take over the fills of ``prev``, an unmasked field of the same
         graph under other weights, and report what moved.
@@ -169,8 +155,6 @@ class ShortestPathField:
             else:
                 self._dist[t], self._out[t], relisted = d, kept[0], kept[1]
                 moved = set()
-                if t in prev._order:
-                    self._order[t] = prev._order[t]
             moves.dist[t], moves.relisted[t] = moved, relisted
             if not (moved or relisted):
                 moves.still_to.add(t)
@@ -271,17 +255,18 @@ class FlowAllocation:
 def _split_segment(
     field: ShortestPathField, entry: str, exit: str, amount: float
 ) -> dict[str, float]:
-    dist = field.to_target(exit)
-    if dist.get(entry, INF) == INF:
+    """Link flows of ``amount`` sent from entry to exit, divided equally
+    over the tight out-links of each node, visited in _reached order."""
+    if field.to_target(exit).get(entry, INF) == INF:
         raise RoutingError(f"node {exit} is unreachable from {entry}")
     inflow: dict[str, float] = {entry: amount}
     link_flow: dict[str, float] = {}
-    for v in field.order(exit):
+    for v in _reached(field, entry, exit):
         flow_in = inflow.get(v, 0.0)
-        if v == exit or flow_in <= 0.0:
+        if flow_in <= 0.0:
             continue
         outs = field.out_links(v, exit)
-        # every non-exit node at finite distance has a tight out-link
+        # every reached node but the exit has a tight out-link
         share = flow_in / len(outs)
         for e in outs:
             link_flow[e.id] = link_flow.get(e.id, 0.0) + share
@@ -569,9 +554,10 @@ def _route(g: NfviGraph, field: ShortestPathField, d: ServiceDemand) -> _Routed 
 
 
 def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
-    """a and every node it reaches over tight links toward b, except b, in
-    the order _split_segment visits them: a superset of the nodes that pass
-    on flow from a toward b."""
+    """a and every node it reaches over tight links toward b, except b,
+    sorted by (-dist(v, b), v) so each comes before the heads of its tight
+    out-links: the nodes _split_segment visits, in its order."""
+    dist = field.to_target(b)
     seen = {a}
     stack = [a]
     while stack:
@@ -579,7 +565,8 @@ def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
             if e.dst not in seen:
                 seen.add(e.dst)
                 stack.append(e.dst)
-    return tuple(v for v in field.order(b) if v in seen and v != b)
+    seen.discard(b)
+    return tuple(sorted(seen, key=lambda v: (-dist[v], v)))
 
 
 def _still_holds(g: NfviGraph, field: ShortestPathField, moves: _Moves, rec: _Routed) -> bool:

@@ -171,6 +171,16 @@ def test_malformed_topology_exits_one(tmp_path, capsys):
     assert "bad.topo:1" in capsys.readouterr().err
 
 
+def test_repeated_vnfcost_exits_one(diamond_files, tmp_path, capsys):
+    _, dem = diamond_files
+    topo = tmp_path / "twice.topo"
+    topo.write_text(DIAMOND_TOPO + "vnf fw\nvnfcost a fw 1\nvnfcost a fw 7\n")
+    code = main(["export", "--topology", str(topo), "--demands", dem, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "twice.topo:11:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_errors_exit_two(diamond_files, tmp_path):
     topo, dem = diamond_files
     with pytest.raises(SystemExit) as exc:

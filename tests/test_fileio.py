@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlb import dataset_path
 from orbitlb.errors import ParseError, ValidationError
@@ -13,6 +17,7 @@ from orbitlb.fileio import (
     serialize_topology,
     write_text,
 )
+from orbitlb.model import ID_PATTERN, DemandStream, Link, NfviGraph, ServiceDemand
 
 TOPO = """\
 # sample
@@ -105,6 +110,19 @@ def test_duplicate_node_rejected(tmp_path):
         load_topology(write(tmp_path, "bad.topo", "node a 1\nnode a 2\n"))
 
 
+def test_duplicate_vnfcost_rejected(tmp_path):
+    text = "node a 1\nvnf fw\nvnfcost a fw 1\nvnfcost a fw 7\n"
+    with pytest.raises(ParseError) as exc:
+        load_topology(write(tmp_path, "bad.topo", text))
+    assert str(exc.value).startswith(f"{tmp_path / 'bad.topo'}:4:")
+    assert "more than once" in str(exc.value)
+
+
+def test_repeated_host_line_is_accepted(tmp_path):
+    g = load_topology(write(tmp_path, "t.topo", "node a 1\nvnf fw\nhost a fw\nhost a fw\n"))
+    assert g.capability_pairs() == [("a", "fw")]
+
+
 def test_validation_failure_surfaces_all_problems(tmp_path):
     text = "node a 1\nlink aa a a 0\n"
     with pytest.raises(ValidationError) as exc:
@@ -161,6 +179,60 @@ def test_demands_round_trip(tmp_path):
     again = load_demands(write(tmp_path, "d2.demands", text))
     assert serialize_demands(again) == text
     assert list(again) == list(stream)
+
+
+ids = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=4)
+# finite numbers up to 1e20, with integral values from 1e16 up that
+# format_number writes in exponent form
+numbers = st.one_of(
+    st.floats(min_value=0.0, max_value=1e20, allow_nan=False, allow_infinity=False),
+    st.integers(0, 10**20).map(float),
+    st.sampled_from([1e16, 1e16 + 2.0, 2.5e17, 1e20]),
+)
+
+
+@st.composite
+def instances(draw) -> tuple[NfviGraph, DemandStream]:
+    """Valid topologies with capabilities and costs, and chained demands on them."""
+    names = draw(st.lists(ids, min_size=2, max_size=6, unique=True))
+    fns = draw(st.lists(ids, max_size=4, unique=True))
+    arcs = draw(
+        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=12)
+    )
+    link_caps = numbers.filter(lambda c: c > 0)
+    links = [Link(f"e{k}", u, v, draw(link_caps)) for k, (u, v) in enumerate(arcs) if u != v]
+    pairs = [(v, fn) for v in names for fn in fns]
+    hosts = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    priced = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = NfviGraph(
+        {v: draw(numbers) for v in names}, links, fns, hosts, {key: draw(numbers) for key in priced}
+    )
+    demand_ids = sorted(draw(st.lists(st.integers(-10**9, 10**9), max_size=6, unique=True)))
+    demands = []
+    for did in demand_ids:
+        src, dst = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        chain = tuple(draw(st.lists(st.sampled_from(fns), max_size=3))) if fns else ()
+        demands.append(ServiceDemand(did, src, dst, draw(numbers), chain))
+    return g, DemandStream(tuple(demands))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_random_instances_round_trip(tmp_path_factory, instance):
+    g, stream = instance
+    assert all(ID_PATTERN.match(v) for v in g.nodes)
+    tmp = tmp_path_factory.mktemp("rt")
+    topo_text, demand_text = serialize_topology(g), serialize_demands(stream)
+    g2 = load_topology(write(tmp, "t.topo", topo_text))
+    again = load_demands(write(tmp, "d.demands", demand_text), g2)
+    assert g2.node_capacity == g.node_capacity
+    assert g2.links == g.links
+    assert set(g2.vnf_catalog) == set(g.vnf_catalog)
+    assert g2.capability_pairs() == g.capability_pairs()
+    assert g2.vnf_cost == g.vnf_cost
+    assert list(again) == list(stream)
+    assert serialize_topology(g2) == topo_text
+    assert serialize_demands(again) == demand_text
 
 
 @pytest.mark.parametrize("name", ["internet2", "geant"])

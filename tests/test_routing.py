@@ -12,17 +12,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitlb import dataset_path
-from orbitlb.errors import ValidationError
+from orbitlb import orbit
+from orbitlb.errors import RoutingError, ValidationError
 from orbitlb.fileio import load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import exact_oracle
-from orbitlb.orbit import run_stream
+from orbitlb.orbit import OrbitState, run_stream
 from orbitlb.partition import Partition, Partitioning
 from orbitlb.routing import (
     RATE_TOL,
     FlowAllocation,
     ShortestPathField,
     _alloc_node_usage,
+    _reached,
     _split_segment,
     capacity_slack,
     ecmp_dag,
@@ -125,8 +127,16 @@ def test_forward_distances_equal_reverse_distances(gw):
             assert from_s[v] == field.dist(s, v)
     for t in g.nodes:
         dist = field.to_target(t)
-        finite = [v for v in g.nodes if dist[v] != INF]
-        assert field.order(t) == sorted(finite, key=lambda v: (-dist[v], v))
+        for a in g.nodes:
+            if dist[a] == INF:
+                continue
+            # v is reachable from a over tight links toward t exactly when
+            # it lies on a shortest a-t path
+            from_a = field.from_source(a)
+            on_path = {v for v in g.nodes if from_a[v] + dist[v] == dist[a]} - {t}
+            nodes = _reached(field, a, t)
+            assert set(nodes) == on_path and len(nodes) == len(on_path)
+            assert list(nodes) == sorted(nodes, key=lambda v: (-dist[v], v))
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,7 +153,8 @@ def test_masked_field_matches_the_restricted_subgraph(gw, data):
         to_t = masked.to_target(t)
         assert {v: to_t[v] for v in sub.nodes} == ref.to_target(t)
         assert all(to_t[v] == INF for v in outside)
-        assert masked.order(t) == ref.order(t)
+        for a in sub.nodes:
+            assert _reached(masked, a, t) == _reached(ref, a, t)
         for v in sub.nodes:
             assert masked.out_links(v, t) == ref.out_links(v, t)
     for s in sub.nodes:
@@ -248,6 +259,69 @@ def test_split_segment_conserves_flow(gw, data):
     for v in g.nodes:
         if v not in (entry, exit):
             assert abs(inflow[v] - outflow[v]) <= RATE_TOL
+
+
+def split_by_order(field, entry, exit, amount):
+    """The split as it was when every node at finite distance to exit was
+    visited, farthest first, ties by id, whether it held flow or not."""
+    dist = field.to_target(exit)
+    if dist.get(entry, INF) == INF:
+        raise RoutingError(f"node {exit} is unreachable from {entry}")
+    order = sorted((v for v, dv in dist.items() if dv != INF), key=lambda v: (-dist[v], v))
+    inflow = {entry: amount}
+    link_flow = {}
+    for v in order:
+        flow_in = inflow.get(v, 0.0)
+        if v == exit or flow_in <= 0.0:
+            continue
+        outs = field.out_links(v, exit)
+        share = flow_in / len(outs)
+        for e in outs:
+            link_flow[e.id] = link_flow.get(e.id, 0.0) + share
+            inflow[e.dst] = inflow.get(e.dst, 0.0) + share
+    return link_flow
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_split_repeats_the_order_based_split(gw, data):
+    """Walking only the reached nodes gives the same flows, keys in the same
+    insertion order and floats bit for bit, on plain and masked fields."""
+    g, w = gw
+    links = data.draw(st.sets(st.sampled_from(g.link_ids))) if g.links else set()
+    amount = data.draw(st.floats(min_value=1e-300, max_value=1e300))
+    for field in (shortest_path_field(g, w), ShortestPathField(g, w, links)):
+        for entry in g.nodes:
+            for exit in g.nodes:
+                if field.dist(entry, exit) == INF:
+                    with pytest.raises(RoutingError):
+                        _split_segment(field, entry, exit, amount)
+                    continue
+                flow = _split_segment(field, entry, exit, amount)
+                assert list(flow.items()) == list(split_by_order(field, entry, exit, amount).items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_share_field_ramps_are_the_unit_split_links(gw, data):
+    """A one-member group's share field for a demand src -> dst holds the
+    links a unit of flow uses from src to the member and on to dst."""
+    g, w = gw
+    field = shortest_path_field(g, w)
+    src = data.draw(st.sampled_from(g.nodes))
+    from_src = field.from_source(src)
+    member = data.draw(st.sampled_from([v for v in g.nodes if from_src[v] != INF]))
+    from_member = field.from_source(member)
+    dsts = [v for v in g.nodes if v != src and from_member[v] != INF]
+    assume(dsts)
+    dst = data.draw(st.sampled_from(dsts))
+    part = Partitioning((Partition(0, frozenset({member}), (), 1.0),), 1, 1.0, 0, 1.0)
+    masked = orbit._share_field(OrbitState(g, part, w), 0, ServiceDemand(0, src, dst, 1.0))
+    ramps = set()
+    for a, b in ((src, member), (member, dst)):
+        if a != b:
+            ramps.update(split_by_order(field, a, b, 1.0))
+    assert {e.id for e in masked._links} == ramps
 
 
 def test_split_scales_linearly():
