@@ -11,8 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitlb import dataset_path
-from orbitlb import orbit
+from orbitlb import dataset_path, orbit
 from orbitlb.errors import RoutingError, ValidationError
 from orbitlb.fileio import load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
