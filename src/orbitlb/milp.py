@@ -305,9 +305,11 @@ def build_model(
         flows_per_demand=flows_per_demand,
         targets=tuple(sorted({d.dst for d in demands})),
     )
-    names = [name for name, _kind, _lb in model.iter_variables()]
-    if len(set(names)) != len(names):
-        raise ValidationError(["generated variable names collide; use distinct ids"])
+    names: set[str] = set()
+    for name, _kind, _lb in model.iter_variables():
+        if name in names:
+            raise ValidationError([f"generated variable name {name} collides; use distinct ids"])
+        names.add(name)
     return model
 
 

@@ -105,6 +105,7 @@ class OrbitState:
         self.events: list[EventRecord] = []
         self.accepted_count: int = 0
         self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
+        self._ramps: dict[tuple[int, str, bool], frozenset[str] | None] = {}
 
     def max_utilization(self) -> float:
         """max(chi/capacity) rescanned over every link; equals loads.r."""
@@ -138,30 +139,41 @@ def eligible_partitions(
 def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathField | None:
     """Field for group i's share of a demand: the parent graph masked to
     the group's internal links plus entry/exit ramps for the demand's
-    endpoints; each ramp is every link on a shortest path between the
-    endpoint and the group's closest member, ties by id.  None when the
-    group is unreachable from the source or cannot reach the destination.
-    Fields are cached per (group, source, destination) with a member
-    endpoint as None: weights are >= 1, so a member is its own unique
-    closest member."""
-    part = state.part.parts[i]
-    key = (i, None if d.src in part.nodes else d.src, None if d.dst in part.nodes else d.dst)
+    endpoints (see _ramp).  None when the group is unreachable from the
+    source or cannot reach the destination.  Fields are cached per (group,
+    source, destination) with a member endpoint as None: weights are >= 1,
+    so a member is its own unique closest member and adds no ramp."""
+    members = state.part.parts[i].nodes
+    key = (i, None if d.src in members else d.src, None if d.dst in members else d.dst)
     if key not in state._subgraphs:
-        from_src = state.field.from_source(d.src)
-        to_dst = state.field.to_target(d.dst)
-        nearest_in = min(((from_src[v], v) for v in part.nodes if from_src[v] != INF), default=None)
-        nearest_out = min(((to_dst[v], v) for v in part.nodes if to_dst[v] != INF), default=None)
+        ends = ((key[1], True), (key[2], False))
+        ramps = [_ramp(state, i, v, entry) for v, entry in ends if v is not None]
         masked = None
-        if nearest_in is not None and nearest_out is not None:
-            link_ids = set(part.link_ids)
-            for a, b in ((d.src, nearest_in[1]), (nearest_out[1], d.dst)):
-                link_ids.update(
-                    e.id for v in _reached(state.field, a, b) for e in state.field.out_links(v, b)
-                )
+        if None not in ramps:
+            link_ids = set(state.part.parts[i].link_ids).union(*ramps)
             # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
             masked = ShortestPathField(state.g, state.w, link_ids)
         state._subgraphs[key] = masked
     return state._subgraphs[key]
+
+
+def _ramp(state: OrbitState, i: int, v: str, entry: bool) -> frozenset[str] | None:
+    """Link ids on every shortest path from node v to group i's closest
+    member (``entry``) or from the group's closest member to v, ties by
+    id; None when no member is reachable that way.  Cached per (group,
+    endpoint, direction)."""
+    key = (i, v, entry)
+    if key not in state._ramps:
+        field = state.field
+        dist = field.from_source(v) if entry else field.to_target(v)
+        members = state.part.parts[i].nodes
+        nearest = min(((dist[u], u) for u in members if dist[u] != INF), default=None)
+        ramp = None
+        if nearest is not None:
+            a, b = (v, nearest[1]) if entry else (nearest[1], v)
+            ramp = frozenset(e.id for u in _reached(field, a, b) for e in field.out_links(u, b))
+        state._ramps[key] = ramp
+    return state._ramps[key]
 
 
 def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:

@@ -49,8 +49,9 @@ class ShortestPathField:
     """Shortest-path state of one graph under one weight vector.
 
     Per target t, filled on first use: dist(v, t) for every node v (one
-    reverse Dijkstra, exact since weights are positive) and each node's tight
-    out-links, those on some shortest path to t.  Per source s, also on first
+    reverse Dijkstra, exact since weights are positive).  A node's tight
+    out-links toward t, those on some shortest path to t, are listed on
+    first ask, in declaration order, and kept.  Per source s, also on first
     use: dist(s, v) for every node v (one forward Dijkstra).  The weights are
     copied, so later changes to the caller's dict do not alter the answers.
 
@@ -60,11 +61,11 @@ class ShortestPathField:
 
     def __init__(self, g: NfviGraph, w: dict[str, int], links: set[str] | None = None) -> None:
         self._g = g
-        # allowed links in declaration order; _w holds only their weights
-        self._links = g.links if links is None else [e for e in g.links if e.id in links]
-        self._w = {e.id: w[e.id] for e in self._links}
+        # the weights of the allowed links only
+        self._w = {e.id: w[e.id] for e in g.links} if links is None else {i: w[i] for i in links}
         # _dist[t][v] is the distance from v to t, math.inf when unreachable
         self._dist: dict[str, dict[str, float]] = {}
+        # _out[t][v] is v's tight list toward t, for the nodes asked so far
         self._out: dict[str, dict[str, list[Link]]] = {}
         # _from[s][v] is the distance from s to v
         self._from: dict[str, dict[str, float]] = {}
@@ -95,14 +96,8 @@ class ShortestPathField:
         return d
 
     def _fill(self, t: str) -> dict[str, float]:
-        d = self._dijkstra(t, forward=False)
-        w = self._w
-        out: dict[str, list[Link]] = {}
-        for e in self._links:
-            if d[e.src] != INF and d[e.src] == w[e.id] + d[e.dst]:
-                out.setdefault(e.src, []).append(e)
-        self._dist[t] = d
-        self._out[t] = out
+        d = self._dist[t] = self._dijkstra(t, forward=False)
+        self._out[t] = {}
         return d
 
     def to_target(self, t: str) -> dict[str, float]:
@@ -124,7 +119,14 @@ class ShortestPathField:
         if out is None:
             self._fill(t)
             out = self._out[t]
-        return out.get(v, [])
+        tight = out.get(v)
+        if tight is None:
+            d, w = self._dist[t], self._w
+            dv = d.get(v, INF)
+            tight = out[v] = [] if dv == INF else [
+                e for e in self._g.out_links[v] if e.id in w and w[e.id] + d[e.dst] == dv
+            ]
+        return tight
 
     def on_shortest(self, e: Link, t: str) -> bool:
         return any(x.id == e.id for x in self.out_links(e.src, t))
@@ -138,23 +140,31 @@ class ShortestPathField:
         d never exceeds the new distances; and when every changed link's
         tail with finite d keeps a tight out-link, since only changed links
         lose tightness, so following tight links from any node reaches the
-        target in exactly d.  Then only those tails' tight lists are rebuilt.
-        A source's distances are kept by the mirror argument over in-links.
-        A fill that fails either test is redone."""
+        target in exactly d.  Then only those tails can be relisted.  A
+        source's distances are kept by the mirror argument over in-links.
+        A fill that fails either test is redone; a node's tight list reads
+        its distance, its out-links' weights and their heads' distances, so
+        only moved nodes, tails of links into them and tails of changed
+        links can be relisted."""
         g, w = self._g, self._w
         changed = [e for e in g.links if w[e.id] != prev._w[e.id]]
+        tails = {e.src for e in changed}
         moves = _Moves()
         for t, d in prev._dist.items():
-            out = prev._out[t]
-            kept = self._hold_to(t, d, out, changed)
-            if kept is None:
+            relisted = self._hold_to(prev, t, d, changed)
+            if relisted is None:
                 new = self._fill(t)
-                new_out = self._out[t]
                 moved = {v for v, dv in new.items() if dv != d[v]}
-                relisted = {v for v in new if new_out.get(v) != out.get(v)}
+                candidates = tails | moved
+                for v in moved:
+                    candidates.update(x.src for x in g.in_links[v])
+                relisted = self._relisted(prev, t, new, candidates)
             else:
-                self._dist[t], self._out[t], relisted = d, kept[0], kept[1]
                 moved = set()
+            # every list not relisted is the same in both fields, so with
+            # nothing relisted the two fields may share one cache
+            cache = prev._out[t]
+            self._out[t] = {v: x for v, x in cache.items() if v not in relisted} if relisted else cache
             moves.dist[t], moves.relisted[t] = moved, relisted
             if not (moved or relisted):
                 moves.still_to.add(t)
@@ -171,12 +181,13 @@ class ShortestPathField:
         return moves
 
     def _hold_to(
-        self, t: str, d: dict[str, float], out: dict[str, list[Link]], changed: list[Link]
-    ) -> tuple[dict[str, list[Link]], set[str]] | None:
-        """(tight lists, relisted nodes) of target t when its old distances
-        d still hold under this field's weights, else None."""
+        self, prev: ShortestPathField, t: str, d: dict[str, float], changed: list[Link]
+    ) -> set[str] | None:
+        """When prev's distances d to target t still hold under this
+        field's weights, take them over and return the relisted nodes;
+        else None."""
         w = self._w
-        tails: dict[str, float] = {}
+        tails: set[str] = set()
         for e in changed:
             di = d[e.src]
             if di == INF:
@@ -184,18 +195,35 @@ class ShortestPathField:
             if w[e.id] + d[e.dst] < di:
                 return None
             if e.src != t:
-                tails[e.src] = di
-        relisted: set[str] = set()
-        for i, di in tails.items():
-            tight = [x for x in self._g.out_links[i] if w[x.id] + d[x.dst] == di]
-            if not tight:
+                tails.add(e.src)
+        relisted = self._relisted(prev, t, d, tails)
+        # a tail's list under prev is not empty, so only a relisted tail can
+        # have lost every tight link
+        out_links = self._g.out_links
+        for i in relisted:
+            if not any(w[x.id] + d[x.dst] == d[i] for x in out_links[i]):
                 return None
-            if tight != out.get(i):
-                if not relisted:
-                    out = dict(out)
-                out[i] = tight
-                relisted.add(i)
-        return out, relisted
+        self._dist[t] = d
+        return relisted
+
+    def _relisted(
+        self, prev: ShortestPathField, t: str, d: dict[str, float], nodes: set[str]
+    ) -> set[str]:
+        """The nodes among ``nodes`` whose tight lists toward t differ
+        between prev and this field, both unmasked, when d are this field's
+        distances to t."""
+        out_links = self._g.out_links
+        w, pd, pw = self._w, prev._dist[t], prev._w
+        relisted = set()
+        for v in nodes:
+            dv, pv = d[v], pd[v]
+            for x in out_links[v]:
+                if (dv != INF and w[x.id] + d[x.dst] == dv) != (
+                    pv != INF and pw[x.id] + pd[x.dst] == pv
+                ):
+                    relisted.add(v)
+                    break
+        return relisted
 
     def _holds_from(self, s: str, f: dict[str, float], changed: list[Link]) -> bool:
         """Whether source s's old distances f still hold under this field's

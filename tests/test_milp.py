@@ -115,7 +115,7 @@ def test_variable_name_collision_rejected():
         ServiceDemand(0, "s", "a", 1.0, ()),
         ServiceDemand(1, "s", "a_a", 1.0, ()),
     ]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="l_a_a_a collides"):
         build_model(g, demands)
 
 

@@ -5,11 +5,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orbitlb
 from orbitlb import dataset_path, orbit
 from orbitlb.errors import PartitionError, ValidationError
 from orbitlb.fileio import load_demands, load_topology
@@ -24,7 +30,12 @@ from orbitlb.orbit import (
     verify_guarantees,
 )
 from orbitlb.partition import Partition, Partitioning, partition
-from orbitlb.routing import FlowAllocation, _alloc_node_usage, route_demand_sfc
+from orbitlb.routing import (
+    FlowAllocation,
+    _alloc_node_usage,
+    route_demand_sfc,
+    shortest_path_field,
+)
 from tests.conftest import random_connected_graph, random_stream
 
 
@@ -480,6 +491,87 @@ def test_member_endpoints_share_one_share_field(monkeypatch):
     assert cached.chi == fresh.chi and cached.residual_node == fresh.residual_node
     assert 0 < cached.accepted_count < len(demands)
     assert len(cached._subgraphs) < len(lookups)
+
+
+def ramp_from_scratch(g, w, v, members, entry):
+    """Links on some shortest path from v to its closest member (entry) or
+    from the closest member to v, ties by id, read off distance sums of a
+    fresh field; empty for a member, None when no member is reachable."""
+    if v in members:
+        return set()
+    field = shortest_path_field(g, w)
+    dist = {u: field.dist(v, u) if entry else field.dist(u, v) for u in members}
+    reach = [(du, u) for u, du in dist.items() if du != math.inf]
+    if not reach:
+        return None
+    a, b = (v, min(reach)[1]) if entry else (min(reach)[1], v)
+    total = field.dist(a, b)
+    return {e.id for e in g.links if field.dist(a, e.src) + w[e.id] + field.dist(e.dst, b) == total}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_share_field_masks_the_group_links_and_both_ramps(data):
+    """Over possibly disconnected graphs with groups of two or more members,
+    each share field allows exactly the group's links and both ramps as
+    computed from scratch, or is None when a ramp does not exist; the ramp
+    cache holds at most one entry per group, endpoint and direction."""
+    n = data.draw(st.integers(2, 8))
+    names = [f"v{i}" for i in range(n)]
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+    links = tuple(Link(f"e{k}", names[i], names[j], 1.0) for k, (i, j) in enumerate(arcs) if i != j)
+    g = NfviGraph({v: 1.0 for v in names}, links)
+    w = {e.id: data.draw(st.integers(1, 3)) for e in links}
+    kappa = data.draw(st.integers(1, n // 2))
+    groups = [{names[2 * i], names[2 * i + 1]} for i in range(kappa)]
+    for v in names[2 * kappa:]:
+        groups[data.draw(st.integers(0, kappa - 1))].add(v)
+    parts = tuple(
+        Partition(i, frozenset(m), tuple(e.id for e in links if e.src in m and e.dst in m), 1.0)
+        for i, m in enumerate(groups)
+    )
+    state = OrbitState(g, Partitioning(parts, kappa, 1.0, 0, float(n)), w)
+    for k in range(data.draw(st.integers(1, 12))):
+        src, dst = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        i = data.draw(st.integers(0, kappa - 1))
+        field = orbit._share_field(state, i, ServiceDemand(k, src, dst, 1.0))
+        ramps = [ramp_from_scratch(g, w, src, groups[i], True),
+                 ramp_from_scratch(g, w, dst, groups[i], False)]
+        if None in ramps:
+            assert field is None
+        else:
+            assert set(field._w) == set(parts[i].link_ids).union(*ramps)
+    assert len(state._ramps) <= 2 * kappa * n
+
+
+HASH_SEED_PROBE = """
+import hashlib
+from orbitlb import dataset_path
+from orbitlb.fileio import load_demands, load_topology
+from orbitlb.orbit import run_stream
+from orbitlb.partition import partition
+
+g = load_topology(dataset_path("geant.topo"))
+demands = list(load_demands(dataset_path("geant.demands"), g))
+for kappa, epsilon in ((2, 1.0), (3, 1.5)):
+    print(run_stream(g, demands, partition(g, kappa, epsilon)).events_csv())
+"""
+
+
+def test_events_do_not_depend_on_hash_seed():
+    # share fields are masked to hash-ordered link sets; set iteration
+    # order changes with PYTHONHASHSEED
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbitlb.__file__)))
+    outputs = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    assert ",accepted," in run.stdout and ",rejected,capacity," in run.stdout
 
 
 def split_group_instance() -> tuple[NfviGraph, Partitioning]:

@@ -162,6 +162,77 @@ def test_masked_field_matches_the_restricted_subgraph(gw, data):
         assert all(from_s[v] == INF for v in outside)
 
 
+def eager_tight_lists(g, w, links, t):
+    """Every node's tight out-links toward t from one declaration-order
+    scan of the allowed links, as the lists were built before they were
+    built on first ask."""
+    dist = ShortestPathField(g, w, links).to_target(t)
+    out = {v: [] for v in g.nodes}
+    for e in g.links:
+        if (links is None or e.id in links) and dist[e.src] != INF:
+            if dist[e.src] == w[e.id] + dist[e.dst]:
+                out[e.src].append(e)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_lists_built_on_first_ask_equal_an_eager_scan(gw, data):
+    """Asked in any order, each node's tight list toward each target is the
+    declaration-order scan of the allowed, tight links at finite distance,
+    and asking again gives the same list."""
+    g, w = gw
+    links = data.draw(st.none() | st.sets(st.sampled_from(g.link_ids))) if g.links else None
+    field = ShortestPathField(g, w, links)
+    pairs = data.draw(st.permutations([(v, t) for t in g.nodes for v in g.nodes]))
+    want = {t: eager_tight_lists(g, w, links, t) for t in g.nodes}
+    for v, t in pairs:
+        assert field.out_links(v, t) == want[t][v]
+    for v, t in pairs:
+        assert field.out_links(v, t) == want[t][v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_carry_reports_what_a_full_scan_finds(gw, data):
+    """After a random weight change, the moved and relisted nodes _carry
+    reports for each carried target equal a scan of every node between two
+    fresh fields, and the carried field answers as a fresh one does."""
+    g, w = gw
+    assume(g.links)
+    prev = shortest_path_field(g, w)
+    targets = data.draw(st.sets(st.sampled_from(g.nodes)))
+    for t in targets:
+        # some lists are asked before the carry, some never
+        for v in data.draw(st.sets(st.sampled_from(g.nodes))):
+            prev.out_links(v, t)
+        prev.to_target(t)
+    sources = data.draw(st.sets(st.sampled_from(g.nodes)))
+    for s in sources:
+        prev.from_source(s)
+    changes = data.draw(st.dictionaries(st.sampled_from(g.link_ids), st.integers(1, 5), min_size=1))
+    w2 = {**w, **changes}
+    field = shortest_path_field(g, w2)
+    moves = field._carry(prev)
+    old, new = shortest_path_field(g, w), shortest_path_field(g, w2)
+    assert set(moves.dist) == set(moves.relisted) == targets
+    for t in targets:
+        assert moves.dist[t] == {v for v in g.nodes if new.dist(v, t) != old.dist(v, t)}
+        assert moves.relisted[t] == {
+            v for v in g.nodes if new.out_links(v, t) != old.out_links(v, t)
+        }
+        assert (t in moves.still_to) == (not (moves.dist[t] or moves.relisted[t]))
+        assert field.to_target(t) == new.to_target(t)
+        for v in g.nodes:
+            assert field.out_links(v, t) == new.out_links(v, t)
+            assert prev.out_links(v, t) == old.out_links(v, t)
+    for s in sources:
+        assert moves.from_source[s] == {
+            v for v in g.nodes if new.from_source(s)[v] != old.from_source(s)[v]
+        }
+        assert field.from_source(s) == new.from_source(s)
+
+
 def test_field_keeps_its_own_weights(diamond):
     w = unit_weights(diamond)
     field = shortest_path_field(diamond, w)
@@ -320,7 +391,7 @@ def test_share_field_ramps_are_the_unit_split_links(gw, data):
     for a, b in ((src, member), (member, dst)):
         if a != b:
             ramps.update(split_by_order(field, a, b, 1.0))
-    assert {e.id for e in masked._links} == ramps
+    assert set(masked._w) == ramps
 
 
 def test_split_scales_linearly():
