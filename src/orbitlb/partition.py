@@ -109,20 +109,23 @@ def _spanning_forest(
 def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partitioning:
     """Deterministic (kappa, epsilon)-balanced partitioning of the graph.
 
-    Raises PartitionError when the balance bound cannot hold: fewer nodes
-    than groups, bound below 1, or kappa*floor(bound) below n.
+    Raises PartitionError when kappa is not a positive int, epsilon is not
+    a number >= 1 giving a finite bound, or the balance bound cannot hold:
+    fewer nodes than groups, bound below 1, or kappa*floor(bound) below n.
     """
     nodes = sorted(g.node_capacity)
     n = len(nodes)
-    if kappa < 1 or kappa != int(kappa):
-        raise PartitionError(f"group count must be a positive integer, got {kappa}")
-    if epsilon < 1:
+    if not isinstance(kappa, int) or kappa < 1:
+        raise PartitionError(f"group count must be a positive integer, got {kappa!r}")
+    if not epsilon >= 1:
         raise PartitionError(f"balance factor must be >= 1, got {epsilon}")
     if n == 0:
         raise PartitionError("cannot partition an empty graph")
     if kappa > n:
         raise PartitionError(f"{kappa} groups for {n} nodes would leave some empty")
     bound = epsilon * n / kappa
+    if bound == math.inf:
+        raise PartitionError(f"balance factor {epsilon} gives no finite size bound")
     cap = math.floor(bound + BALANCE_FUZZ)
     if cap < 1 or kappa * cap < n:
         raise PartitionError(

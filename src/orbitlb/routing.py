@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import RoutingError, ValidationError
+from .errors import ValidationError
 from .model import Link, NfviGraph, ServiceDemand
 
 INF = math.inf
@@ -39,7 +39,11 @@ def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
             problems.append(f"no weight for link {e.id}")
         else:
             val = w[e.id]
-            if val != int(val) or val < 1:
+            try:
+                ok = val == int(val) and val >= 1
+            except (TypeError, ValueError, OverflowError):
+                ok = False  # None, text, nan or an infinity
+            if not ok:
                 problems.append(f"weight of link {e.id} must be an integer >= 1, got {val!r}")
     if problems:
         raise ValidationError(problems)
@@ -135,76 +139,62 @@ class ShortestPathField:
         """Take over the fills of ``prev``, an unmasked field of the same
         graph under other weights, and report what moved.
 
-        A target's distances d stay exact when w[e] + d[j] >= d[i] on every
-        changed link e=(i,j), since unchanged links still satisfy it and so
-        d never exceeds the new distances; and when every changed link's
-        tail with finite d keeps a tight out-link, since only changed links
-        lose tightness, so following tight links from any node reaches the
-        target in exactly d.  Then only those tails can be relisted.  A
-        source's distances are kept by the mirror argument over in-links.
-        A fill that fails either test is redone; a node's tight list reads
-        its distance, its out-links' weights and their heads' distances, so
-        only moved nodes, tails of links into them and tails of changed
-        links can be relisted."""
+        A fill that ``_holds`` is kept, any other is redone.  A node's tight
+        list toward t reads its distance, its out-links' weights and their
+        heads' distances, so only tails of changed links, moved nodes and
+        tails of links into them can be relisted; every other list ``prev``
+        built is kept."""
         g, w = self._g, self._w
         changed = [e for e in g.links if w[e.id] != prev._w[e.id]]
-        tails = {e.src for e in changed}
         moves = _Moves()
-        for t, d in prev._dist.items():
-            relisted = self._hold_to(prev, t, d, changed)
-            if relisted is None:
-                new = self._fill(t)
-                moved = {v for v, dv in new.items() if dv != d[v]}
-                candidates = tails | moved
-                for v in moved:
-                    candidates.update(x.src for x in g.in_links[v])
-                relisted = self._relisted(prev, t, new, candidates)
-            else:
-                moved = set()
+        for forward, old, new, moved in (
+            (False, prev._dist, self._dist, moves.dist),
+            (True, prev._from, self._from, moves.from_source),
+        ):
+            for root, d in old.items():
+                if self._holds(root, d, changed, forward):
+                    new[root], moved[root] = d, set()
+                else:
+                    fresh = new[root] = self._dijkstra(root, forward)
+                    moved[root] = {v for v, dv in fresh.items() if dv != d[v]}
+        tails = {e.src for e in changed}
+        for t, cache in prev._out.items():
+            candidates = tails | moves.dist[t]
+            for v in moves.dist[t]:
+                candidates.update(x.src for x in g.in_links[v])
+            relisted = moves.relisted[t] = self._relisted(prev, t, self._dist[t], candidates)
             # every list not relisted is the same in both fields, so with
             # nothing relisted the two fields may share one cache
-            cache = prev._out[t]
             self._out[t] = {v: x for v, x in cache.items() if v not in relisted} if relisted else cache
-            moves.dist[t], moves.relisted[t] = moved, relisted
-            if not (moved or relisted):
+            if not (moves.dist[t] or relisted):
                 moves.still_to.add(t)
-        for s, f in prev._from.items():
-            if self._holds_from(s, f, changed):
-                self._from[s] = f
-                moved = set()
-            else:
-                new = self.from_source(s)
-                moved = {v for v, fv in new.items() if fv != f[v]}
-            moves.from_source[s] = moved
-            if not moved:
-                moves.still_from.add(s)
+        moves.still_from = {s for s, moved in moves.from_source.items() if not moved}
         return moves
 
-    def _hold_to(
-        self, prev: ShortestPathField, t: str, d: dict[str, float], changed: list[Link]
-    ) -> set[str] | None:
-        """When prev's distances d to target t still hold under this
-        field's weights, take them over and return the relisted nodes;
-        else None."""
-        w = self._w
-        tails: set[str] = set()
+    def _holds(self, root: str, d: dict[str, float], changed: list[Link], forward: bool) -> bool:
+        """Whether distances d to root (from root when ``forward``) under
+        prev's weights still hold under this field's.
+
+        Take each changed link e with its near end n and far end f: (tail,
+        head) toward a target, (head, tail) from a source.  When w[e] + d[f]
+        >= d[n] on every changed link, d is a lower bound, since unchanged
+        links satisfy it already.  When every near end but root at finite d
+        keeps a tight link (an out-link toward a target, an in-link from a
+        source), d is also an upper bound, since only changed links can lose
+        tightness, so following tight links reaches root in exactly d."""
+        g, w = self._g, self._w
+        adjacent = g.in_links if forward else g.out_links
+        near: set[str] = set()
         for e in changed:
-            di = d[e.src]
-            if di == INF:
-                continue
-            if w[e.id] + d[e.dst] < di:
-                return None
-            if e.src != t:
-                tails.add(e.src)
-        relisted = self._relisted(prev, t, d, tails)
-        # a tail's list under prev is not empty, so only a relisted tail can
-        # have lost every tight link
-        out_links = self._g.out_links
-        for i in relisted:
-            if not any(w[x.id] + d[x.dst] == d[i] for x in out_links[i]):
-                return None
-        self._dist[t] = d
-        return relisted
+            n, f = (e.dst, e.src) if forward else (e.src, e.dst)
+            if w[e.id] + d[f] < d[n]:
+                return False
+            if n != root and d[n] != INF:
+                near.add(n)
+        return all(
+            any(w[x.id] + d[x.src if forward else x.dst] == d[n] for x in adjacent[n])
+            for n in near
+        )
 
     def _relisted(
         self, prev: ShortestPathField, t: str, d: dict[str, float], nodes: set[str]
@@ -224,22 +214,6 @@ class ShortestPathField:
                     relisted.add(v)
                     break
         return relisted
-
-    def _holds_from(self, s: str, f: dict[str, float], changed: list[Link]) -> bool:
-        """Whether source s's old distances f still hold under this field's
-        weights."""
-        w = self._w
-        heads: set[str] = set()
-        for e in changed:
-            fi = f[e.src]
-            if fi == INF:
-                continue
-            if fi + w[e.id] < f[e.dst]:
-                return False
-            if e.dst != s:
-                heads.add(e.dst)
-        in_links = self._g.in_links
-        return all(any(f[x.src] + w[x.id] == f[j] for x in in_links[j]) for j in heads)
 
 
 @dataclass
@@ -272,24 +246,28 @@ def ecmp_dag(
 @dataclass
 class FlowAllocation:
     """Traffic placed on links for one demand, summed over its waypoint
-    segments."""
+    segments.  ``segments`` keeps, per segment routed, its exit b and the
+    nodes _reached walked toward b, for reuse under the next weights; it
+    takes no part in equality or repr."""
 
     demand_id: int | None
     waypoints: tuple[str, ...]
     chain: tuple[str, ...]
     link_flow: dict[str, float]
+    segments: tuple[tuple[str, tuple[str, ...]], ...] = dataclasses.field(
+        default=(), repr=False, compare=False
+    )
 
 
 def _split_segment(
-    field: ShortestPathField, entry: str, exit: str, amount: float
+    field: ShortestPathField, nodes: tuple[str, ...], exit: str, amount: float
 ) -> dict[str, float]:
-    """Link flows of ``amount`` sent from entry to exit, divided equally
-    over the tight out-links of each node, visited in _reached order."""
-    if field.to_target(exit).get(entry, INF) == INF:
-        raise RoutingError(f"node {exit} is unreachable from {entry}")
-    inflow: dict[str, float] = {entry: amount}
+    """Link flows of ``amount`` sent from nodes[0] to exit, divided equally
+    over the tight out-links of each node; ``nodes`` is _reached(field,
+    entry, exit), and an empty walk sends nothing."""
+    inflow: dict[str, float] = dict.fromkeys(nodes[:1], amount)
     link_flow: dict[str, float] = {}
-    for v in _reached(field, entry, exit):
+    for v in nodes:
         flow_in = inflow.get(v, 0.0)
         if flow_in <= 0.0:
             continue
@@ -362,14 +340,17 @@ def route_demand_sfc(
     if waypoints is None:
         return None
     link_flow: dict[str, float] = {}
+    segments = []
     for a, b in zip(waypoints, waypoints[1:]):
         if a == b:
             continue
         if field.dist(a, b) == INF:
             return None
-        for eid, val in _split_segment(field, a, b, amount).items():
+        nodes = _reached(field, a, b)
+        segments.append((b, nodes))
+        for eid, val in _split_segment(field, nodes, b, amount).items():
             link_flow[eid] = link_flow.get(eid, 0.0) + val
-    return FlowAllocation(d.id, waypoints, d.chain, link_flow)
+    return FlowAllocation(d.id, waypoints, d.chain, link_flow, tuple(segments))
 
 
 class UtilizationReport:
@@ -461,15 +442,13 @@ def max_link_utilization(allocs: list[FlowAllocation], g: NfviGraph) -> Utilizat
 @dataclass
 class _Routed:
     """One demand's routing under one field, kept for the next weight
-    vector: its allocation and node usage; per waypoint segment, the target
-    and the nodes other than it that may pass flow toward it, in the order
-    _split_segment visits them; and the targets and sources whose fills
-    the routing read."""
+    vector: its allocation, whose segments name the nodes each split
+    visited, its node usage, and the targets and sources whose fills the
+    routing read."""
 
     demand: ServiceDemand
     alloc: FlowAllocation
     usage: dict[str, float]
-    segments: tuple[tuple[str, tuple[str, ...]], ...]
     targets: frozenset[str]
     sources: frozenset[str]
 
@@ -565,26 +544,21 @@ def _route(g: NfviGraph, field: ShortestPathField, d: ServiceDemand) -> _Routed 
     alloc = route_demand_sfc(g, field, d)
     if alloc is None:
         return None
-    wp = alloc.waypoints
-    segments: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    sources: tuple[str, ...] = ()
-    # a zero volume is routed without reading the field
-    if d.volume != 0:
-        segments = tuple((b, _reached(field, a, b)) for a, b in zip(wp, wp[1:]) if a != b)
-        # select_waypoints scored hosts by their distances from each
-        # waypoint but the last two and to the destination
-        sources = wp[: len(d.chain)]
-    targets = {b for b, _ in segments}
+    # a zero volume is routed without reading the field; else
+    # select_waypoints scored hosts by their distances from each waypoint
+    # but the last two and to the destination
+    sources = alloc.waypoints[: len(d.chain)] if d.volume != 0 else ()
+    targets = {b for b, _ in alloc.segments}
     if sources:
         targets.add(d.dst)
     usage = _alloc_node_usage(alloc, g)
-    return _Routed(d, alloc, usage, segments, frozenset(targets), frozenset(sources))
+    return _Routed(d, alloc, usage, frozenset(targets), frozenset(sources))
 
 
 def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
     """a and every node it reaches over tight links toward b, except b,
     sorted by (-dist(v, b), v) so each comes before the heads of its tight
-    out-links: the nodes _split_segment visits, in its order."""
+    out-links: the walk _split_segment takes."""
     dist = field.to_target(b)
     seen = {a}
     stack = [a]
@@ -631,7 +605,7 @@ def _still_holds(g: NfviGraph, field: ShortestPathField, moves: _Moves, rec: _Ro
             key = (from_prev[host] + to_dst_dist[host], host)
             if any((from_prev[v] + to_dst_dist[v], v) < key for v in moved):
                 return False
-    for b, nodes in rec.segments:
+    for b, nodes in rec.alloc.segments:
         if not moves.relisted[b].isdisjoint(nodes):
             return False
         if not moves.dist[b].isdisjoint(nodes):

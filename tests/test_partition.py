@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -121,6 +122,16 @@ def test_rejects_bad_group_counts(diamond):
 def test_rejects_balance_factor_below_one(diamond):
     with pytest.raises(PartitionError):
         partition(diamond, 2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "kappa, epsilon",
+    [(2.0, 1.0), (1.5, 1.0), ("2", 1.0), (2, math.nan), (2, math.inf), (1, 1e308)],
+)
+def test_rejects_non_integer_groups_and_non_finite_balance(diamond, kappa, epsilon):
+    # a float kappa, nan or infinite epsilon, or a bound that overflows
+    with pytest.raises(PartitionError):
+        partition(diamond, kappa, epsilon)
 
 
 def test_rejects_unsatisfiable_bound():

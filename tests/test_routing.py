@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitlb import dataset_path, orbit
-from orbitlb.errors import RoutingError, ValidationError
+from orbitlb.errors import ValidationError
 from orbitlb.fileio import load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import exact_oracle
@@ -66,6 +66,18 @@ def test_validate_weights_rejects_fractional_and_missing(diamond):
         validate_weights(diamond, {**w, "e_sa": 0})
     with pytest.raises(ValidationError):
         validate_weights(diamond, {k: v for k, v in w.items() if k != "e_bt"})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x"])
+def test_validate_weights_reports_values_that_are_not_integers(diamond, bad):
+    w = unit_weights(diamond)
+    with pytest.raises(ValidationError) as exc:
+        validate_weights(diamond, {**w, "e_sa": bad})
+    assert exc.value.violations == [f"weight of link e_sa must be an integer >= 1, got {bad!r}"]
+    # every bad link is named in the one error
+    with pytest.raises(ValidationError) as exc:
+        validate_weights(diamond, {**w, "e_sa": bad, "e_bt": bad})
+    assert [p.split()[3] for p in exc.value.violations] == ["e_sa", "e_bt"]
 
 
 def test_shortest_distances_on_diamond(diamond):
@@ -231,6 +243,7 @@ def test_carry_reports_what_a_full_scan_finds(gw, data):
             v for v in g.nodes if new.from_source(s)[v] != old.from_source(s)[v]
         }
         assert field.from_source(s) == new.from_source(s)
+        assert (s in moves.still_from) == (not moves.from_source[s])
 
 
 def test_field_keeps_its_own_weights(diamond):
@@ -317,7 +330,7 @@ def test_split_segment_conserves_flow(gw, data):
     assume(exits)
     exit = data.draw(st.sampled_from(exits))
     amount = data.draw(st.floats(min_value=1e-3, max_value=1e3))
-    flow = _split_segment(field, entry, exit, amount)
+    flow = _split_segment(field, _reached(field, entry, exit), exit, amount)
     inflow = {v: 0.0 for v in g.nodes}
     outflow = {v: 0.0 for v in g.nodes}
     for eid, val in flow.items():
@@ -335,8 +348,6 @@ def split_by_order(field, entry, exit, amount):
     """The split as it was when every node at finite distance to exit was
     visited, farthest first, ties by id, whether it held flow or not."""
     dist = field.to_target(exit)
-    if dist.get(entry, INF) == INF:
-        raise RoutingError(f"node {exit} is unreachable from {entry}")
     order = sorted((v for v, dv in dist.items() if dv != INF), key=lambda v: (-dist[v], v))
     inflow = {entry: amount}
     link_flow = {}
@@ -356,19 +367,33 @@ def split_by_order(field, entry, exit, amount):
 @given(weighted_digraphs(), st.data())
 def test_split_repeats_the_order_based_split(gw, data):
     """Walking only the reached nodes gives the same flows, keys in the same
-    insertion order and floats bit for bit, on plain and masked fields."""
+    insertion order and floats bit for bit, on plain and masked fields.  A
+    routed demand keeps each segment's walk on its allocation, which
+    compares equal to one built without them."""
     g, w = gw
     links = data.draw(st.sets(st.sampled_from(g.link_ids))) if g.links else set()
+    hosts = data.draw(st.sets(st.sampled_from(g.nodes)))
+    g = NfviGraph(g.node_capacity, g.links, ("fw",), [(v, "fw") for v in hosts])
     amount = data.draw(st.floats(min_value=1e-300, max_value=1e300))
     for field in (shortest_path_field(g, w), ShortestPathField(g, w, links)):
         for entry in g.nodes:
             for exit in g.nodes:
-                if field.dist(entry, exit) == INF:
-                    with pytest.raises(RoutingError):
-                        _split_segment(field, entry, exit, amount)
+                if field.dist(entry, exit) != INF:
+                    flow = _split_segment(field, _reached(field, entry, exit), exit, amount)
+                    assert list(flow.items()) == list(split_by_order(field, entry, exit, amount).items())
+                if entry == exit:
                     continue
-                flow = _split_segment(field, entry, exit, amount)
-                assert list(flow.items()) == list(split_by_order(field, entry, exit, amount).items())
+                for chain in ((), ("fw",)):
+                    zero = route_demand_sfc(g, field, ServiceDemand(0, entry, exit, 0.0, chain))
+                    assert zero.segments == ()
+                    alloc = route_demand_sfc(g, field, ServiceDemand(0, entry, exit, amount, chain))
+                    if alloc is None:
+                        continue
+                    wp = alloc.waypoints
+                    assert alloc.segments == tuple(
+                        (b, _reached(field, a, b)) for a, b in zip(wp, wp[1:]) if a != b
+                    )
+                    assert FlowAllocation(0, wp, chain, dict(alloc.link_flow)) == alloc
 
 
 @settings(max_examples=150, deadline=None)
