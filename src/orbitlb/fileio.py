@@ -48,9 +48,17 @@ def _logical_lines(path: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _plain(kind: type, token: str):
+    """kind(token) for int or float, refusing the '_' separators and
+    non-ASCII digits that both would otherwise read."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return kind(token)
+
+
 def _num(path: str, no: int, token: str, what: str) -> float:
     try:
-        val = float(token)
+        val = _plain(float, token)
     except ValueError:
         raise ParseError(path, no, f"{what} must be a number, got {token!r}") from None
     if not math.isfinite(val):
@@ -59,7 +67,7 @@ def _num(path: str, no: int, token: str, what: str) -> float:
 
 
 def _ident(path: str, no: int, token: str, what: str) -> str:
-    if not ID_PATTERN.match(token):
+    if not ID_PATTERN.fullmatch(token):
         raise ParseError(path, no, f"{what} {token!r} is not a valid identifier")
     return token
 
@@ -129,7 +137,7 @@ def load_demands(path: str, graph: NfviGraph | None = None) -> DemandStream:
             raise ParseError(path, no, f"unknown directive {fields[0]!r}")
         _arity(path, no, fields, 6)
         try:
-            did = int(fields[1])
+            did = _plain(int, fields[1])
         except ValueError:
             raise ParseError(path, no, f"demand id must be an integer, got {fields[1]!r}") from None
         if last_id is not None and did <= last_id:

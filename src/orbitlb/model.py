@@ -11,8 +11,9 @@ from .errors import ValidationError
 
 # Identifiers appear verbatim in solver variable names, so keep them to a
 # character set that is safe in LP files (no '-', no leading digit issues
-# since generated names are always prefixed).
-ID_PATTERN = re.compile(r"^[A-Za-z0-9_]+$")
+# since generated names are always prefixed).  Test ids with fullmatch,
+# which, unlike match with '$', refuses a trailing newline.
+ID_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def validate(graph: NfviGraph) -> list[str]:
     problems: list[str] = []
     seen_links: set[str] = set()
     for v, cap in graph.node_capacity.items():
-        if not ID_PATTERN.match(v):
+        if not ID_PATTERN.fullmatch(v):
             problems.append(f"node id {v!r} contains unsupported characters")
         if not math.isfinite(cap):
             problems.append(f"node {v}: compute capacity {cap} is not finite")
@@ -172,7 +173,7 @@ def validate(graph: NfviGraph) -> list[str]:
         if e.id in seen_links:
             problems.append(f"link id {e.id} declared more than once")
         seen_links.add(e.id)
-        if not ID_PATTERN.match(e.id):
+        if not ID_PATTERN.fullmatch(e.id):
             problems.append(f"link id {e.id!r} contains unsupported characters")
         if e.src not in graph.node_capacity:
             problems.append(f"link {e.id}: start node {e.src} is not declared")
@@ -185,7 +186,7 @@ def validate(graph: NfviGraph) -> list[str]:
         elif e.capacity <= 0:
             problems.append(f"link {e.id}: capacity must be positive, got {e.capacity}")
     for fn in graph.vnf_catalog:
-        if not ID_PATTERN.match(fn):
+        if not ID_PATTERN.fullmatch(fn):
             problems.append(f"function id {fn!r} contains unsupported characters")
     catalog = set(graph.vnf_catalog)
     for v, fn in graph.capability_pairs():

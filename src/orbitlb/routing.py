@@ -142,7 +142,9 @@ class ShortestPathField:
         A fill that ``_holds`` is kept, any other is redone.  A node's tight
         list toward t reads its distance, its out-links' weights and their
         heads' distances, so only tails of changed links, moved nodes and
-        tails of links into them can be relisted; every other list ``prev``
+        tails of links into moved nodes can be relisted.  A moved node is
+        itself the tail of a changed link or of a link into a moved node, so
+        the two kinds of tail are the candidates; every other list ``prev``
         built is kept."""
         g, w = self._g, self._w
         changed = [e for e in g.links if w[e.id] != prev._w[e.id]]
@@ -159,16 +161,11 @@ class ShortestPathField:
                     moved[root] = {v for v, dv in fresh.items() if dv != d[v]}
         tails = {e.src for e in changed}
         for t, cache in prev._out.items():
-            candidates = tails | moves.dist[t]
-            for v in moves.dist[t]:
-                candidates.update(x.src for x in g.in_links[v])
+            candidates = tails.union(x.src for v in moves.dist[t] for x in g.in_links[v])
             relisted = moves.relisted[t] = self._relisted(prev, t, self._dist[t], candidates)
             # every list not relisted is the same in both fields, so with
             # nothing relisted the two fields may share one cache
             self._out[t] = {v: x for v, x in cache.items() if v not in relisted} if relisted else cache
-            if not (moves.dist[t] or relisted):
-                moves.still_to.add(t)
-        moves.still_from = {s for s, moved in moves.from_source.items() if not moved}
         return moves
 
     def _holds(self, root: str, d: dict[str, float], changed: list[Link], forward: bool) -> bool:
@@ -220,14 +217,11 @@ class ShortestPathField:
 class _Moves:
     """What moved from one field to the next, per carried fill: nodes whose
     distance to (``dist``) or from (``from_source``) it changed, and nodes
-    whose tight list toward it changed (``relisted``); ``still_to`` and
-    ``still_from`` name the fills where nothing did."""
+    whose tight list toward it changed (``relisted``)."""
 
     dist: dict[str, set[str]] = dataclasses.field(default_factory=dict)
     relisted: dict[str, set[str]] = dataclasses.field(default_factory=dict)
     from_source: dict[str, set[str]] = dataclasses.field(default_factory=dict)
-    still_to: set[str] = dataclasses.field(default_factory=set)
-    still_from: set[str] = dataclasses.field(default_factory=set)
 
 
 def shortest_path_field(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
@@ -443,14 +437,11 @@ def max_link_utilization(allocs: list[FlowAllocation], g: NfviGraph) -> Utilizat
 class _Routed:
     """One demand's routing under one field, kept for the next weight
     vector: its allocation, whose segments name the nodes each split
-    visited, its node usage, and the targets and sources whose fills the
-    routing read."""
+    visited, and its node usage."""
 
     demand: ServiceDemand
     alloc: FlowAllocation
     usage: dict[str, float]
-    targets: frozenset[str]
-    sources: frozenset[str]
 
 
 @dataclass
@@ -542,17 +533,7 @@ def _route_demands(
 def _route(g: NfviGraph, field: ShortestPathField, d: ServiceDemand) -> _Routed | None:
     """Route d from scratch; None when it is unroutable."""
     alloc = route_demand_sfc(g, field, d)
-    if alloc is None:
-        return None
-    # a zero volume is routed without reading the field; else
-    # select_waypoints scored hosts by their distances from each waypoint
-    # but the last two and to the destination
-    sources = alloc.waypoints[: len(d.chain)] if d.volume != 0 else ()
-    targets = {b for b, _ in alloc.segments}
-    if sources:
-        targets.add(d.dst)
-    usage = _alloc_node_usage(alloc, g)
-    return _Routed(d, alloc, usage, frozenset(targets), frozenset(sources))
+    return None if alloc is None else _Routed(d, alloc, _alloc_node_usage(alloc, g))
 
 
 def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
@@ -574,18 +555,18 @@ def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
 def _still_holds(g: NfviGraph, field: ShortestPathField, moves: _Moves, rec: _Routed) -> bool:
     """Whether routing rec.demand on ``field`` from scratch would give rec
     again, bit for bit, judged from what moved since rec's field; every
-    fill rec read was carried over, so ``moves`` covers it.
+    fill rec read was carried over, so ``moves`` covers it.  One test
+    decides, and it costs a few set lookups when nothing rec read moved.
 
-    A chosen host stays while its score is unchanged and no host whose
-    score moved now ranks before it; when its own score moved, the
-    waypoints are chosen again and must come out the same.  A segment
+    A zero volume is routed without reading the field.  Else, for each
+    chain position, a chosen host stays while its score is unchanged and no
+    host whose score moved now ranks before it; when its own score moved,
+    the waypoints are chosen again and must come out the same.  A segment
     toward b repeats every float operation when each node it visits keeps
     its tight list toward b and the nodes keep their relative (-dist, id)
     order."""
-    if rec.targets <= moves.still_to and rec.sources <= moves.still_from:
-        return True
     d = rec.demand
-    if rec.sources:
+    if d.volume and d.chain:
         to_dst = moves.dist[d.dst]
         wp = rec.alloc.waypoints
         for k, fn in enumerate(d.chain):

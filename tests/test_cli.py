@@ -181,6 +181,31 @@ def test_repeated_vnfcost_exits_one(diamond_files, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "export"])
+@pytest.mark.parametrize(
+    "bad, text",
+    [
+        pytest.param("topology", DIAMOND_TOPO.replace("node b 0", "node b 1_000"), id="separator"),
+        pytest.param("topology", DIAMOND_TOPO.replace("node a 0", "node a \u0663"), id="non_ascii"),
+        pytest.param("demands", "demand 1_0 s t 1_0.5 -\n", id="demand_separators"),
+    ],
+)
+def test_malformed_number_exits_one(diamond_files, tmp_path, capsys, command, bad, text):
+    topo, dem = diamond_files
+    files = {"topology": topo, "demands": dem}
+    broken = tmp_path / f"broken.{bad}"
+    broken.write_text(text, encoding="utf-8")
+    files[bad] = str(broken)
+    code = main(
+        [command, "--topology", files["topology"], "--demands", files["demands"],
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"broken.{bad}:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_two(diamond_files, tmp_path):
     topo, dem = diamond_files
     with pytest.raises(SystemExit) as exc:

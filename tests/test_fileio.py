@@ -93,6 +93,29 @@ def test_non_finite_numbers_rejected(tmp_path, token, name, text, what):
     assert f"{what} must be a finite number" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "name, text, what",
+    [
+        ("t.topo", "node a \u0663\n", "compute capacity must be a number"),
+        ("t.topo", "node b 1_000\n", "compute capacity must be a number"),
+        ("t.topo", "node a 1\nnode b 1\nlink e1 a b 1_0\n", "bandwidth capacity must be a number"),
+        ("t.topo", "node a 1\nvnf fw\nvnfcost a fw \uff11\n", "function cost must be a number"),
+        ("d.demands", "demand 1_0 a b 1 -\n", "demand id must be an integer"),
+        ("d.demands", "demand \u0663 a b 1 -\n", "demand id must be an integer"),
+        ("d.demands", "demand 0 a b 1_0.5 -\n", "volume must be a number"),
+        ("d.demands", "demand 0 a b \u0663 -\n", "volume must be a number"),
+    ],
+)
+def test_digit_separators_and_non_ascii_digits_rejected(tmp_path, name, text, what):
+    """float() and int() read '1_000' and Arabic-Indic or full-width digits;
+    the file formats take plain ASCII numbers only."""
+    path = write(tmp_path, name, text)
+    load = load_demands if name.endswith(".demands") else load_topology
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert what in str(exc.value)
+
+
 def test_unknown_directive_rejected(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_topology(write(tmp_path, "bad.topo", "edge a b 1\n"))
@@ -220,7 +243,7 @@ def instances(draw) -> tuple[NfviGraph, DemandStream]:
 @given(instances())
 def test_random_instances_round_trip(tmp_path_factory, instance):
     g, stream = instance
-    assert all(ID_PATTERN.match(v) for v in g.nodes)
+    assert all(ID_PATTERN.fullmatch(v) for v in g.nodes)
     tmp = tmp_path_factory.mktemp("rt")
     topo_text, demand_text = serialize_topology(g), serialize_demands(stream)
     g2 = load_topology(write(tmp, "t.topo", topo_text))

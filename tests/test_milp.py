@@ -291,6 +291,24 @@ def test_non_finite_capacity_rejected():
     ]
 
 
+def test_ids_ending_in_a_newline_rejected():
+    # '$' in a match would let "b\n" through, splitting LP names across lines
+    g = NfviGraph(
+        {"a": 0.0, "b\n": 0.0},
+        (Link("e\n", "a", "b\n", 10.0), Link("f", "b\n", "a", 10.0)),
+        ("fw\n",),
+        (),
+        {},
+    )
+    with pytest.raises(ValidationError) as exc:
+        build_model(g, [ServiceDemand(0, "a", "b\n", 1.0, ())])
+    assert exc.value.violations == [
+        "node id 'b\\n' contains unsupported characters",
+        "link id 'e\\n' contains unsupported characters",
+        "function id 'fw\\n' contains unsupported characters",
+    ]
+
+
 def test_unknown_demand_node_rejected(diamond):
     with pytest.raises(ValidationError, match="unknown destination"):
         build_model(diamond, [ServiceDemand(0, "s", "zz", 1.0, ())])

@@ -55,6 +55,21 @@ def test_bad_identifier_flagged():
     assert any("unsupported characters" in v for v in validate(g))
 
 
+def test_ids_ending_in_a_newline_flagged():
+    g = make_graph(
+        nodes={"a": 1.0, "b\n": 1.0},
+        links=(Link("ab\n", "a", "b\n", 1.0),),
+        vnf_catalog=("fw\n",),
+        capability=(),
+        vnf_cost={},
+    )
+    assert validate(g) == [
+        "node id 'b\\n' contains unsupported characters",
+        "link id 'ab\\n' contains unsupported characters",
+        "function id 'fw\\n' contains unsupported characters",
+    ]
+
+
 def test_dangling_endpoint_flagged():
     g = make_graph(links=(Link("az", "a", "z", 1.0),))
     assert any("not declared" in v for v in validate(g))

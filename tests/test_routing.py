@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitlb import dataset_path, orbit
+from orbitlb import dataset_path, orbit, routing
 from orbitlb.errors import ValidationError
 from orbitlb.fileio import load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
@@ -233,7 +233,6 @@ def test_carry_reports_what_a_full_scan_finds(gw, data):
         assert moves.relisted[t] == {
             v for v in g.nodes if new.out_links(v, t) != old.out_links(v, t)
         }
-        assert (t in moves.still_to) == (not (moves.dist[t] or moves.relisted[t]))
         assert field.to_target(t) == new.to_target(t)
         for v in g.nodes:
             assert field.out_links(v, t) == new.out_links(v, t)
@@ -243,7 +242,6 @@ def test_carry_reports_what_a_full_scan_finds(gw, data):
             v for v in g.nodes if new.from_source(s)[v] != old.from_source(s)[v]
         }
         assert field.from_source(s) == new.from_source(s)
-        assert (s in moves.still_from) == (not moves.from_source[s])
 
 
 def test_field_keeps_its_own_weights(diamond):
@@ -816,6 +814,47 @@ def internet2():
 def test_routing_with_prev_equals_fresh_routing_on_internet2(internet2, data):
     g, demands = internet2
     walk_against_fresh_routing(g, demands, data.draw(weight_walks(g.link_ids)))
+
+
+@pytest.fixture
+def routed_afresh(monkeypatch):
+    """The ids of the demands route_demand_sfc routes, in call order."""
+    calls = []
+    route = routing.route_demand_sfc
+
+    def counted(g, field, d, *args, **kwargs):
+        calls.append(d.id)
+        return route(g, field, d, *args, **kwargs)
+
+    monkeypatch.setattr(routing, "route_demand_sfc", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["geant", "internet2"])
+def test_equal_weights_reuse_every_routing(name, routed_afresh):
+    g = load_topology(dataset_path(f"{name}.topo"))
+    demands = list(load_demands(dataset_path(f"{name}.demands"), g))
+    w = unit_weights(g)
+    stream, everything = route_stream(g, w, demands), route_all(g, w, demands)
+    assert everything is not None
+    routed_afresh.clear()
+    assert_same_stream(route_stream(g, dict(w), demands, stream), stream)
+    assert_same_stream(route_all(g, dict(w), demands, everything), everything)
+    assert routed_afresh == []
+
+
+def test_one_link_raise_reroutes_few_demands_on_internet2(internet2, routed_afresh):
+    """Raising one link's unit weight by 1 re-routes at most 20 of the 130
+    demands: 20 at most and 7.5 in the median over the 30 links."""
+    g, demands = internet2
+    w = unit_weights(g)
+    base = route_stream(g, w, demands)
+    for eid in g.link_ids:
+        w2 = {**w, eid: 2}
+        routed_afresh.clear()
+        result = route_stream(g, w2, demands, base)
+        assert len(routed_afresh) <= 20, eid
+        assert_same_stream(result, route_stream(g, w2, demands))
 
 
 def test_chained_results_do_not_keep_their_predecessors():
