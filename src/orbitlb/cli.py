@@ -19,7 +19,7 @@ from typing import Callable
 
 from .annealing import AnnealingSchedule, simulated_annealing
 from .errors import OracleGuardError, OrbitlbError, PartitionError
-from .fileio import load_demands, load_topology, write_text
+from .fileio import _plain, load_demands, load_topology, write_text
 from .milp import build_model, write_lp
 from .model import DemandStream, NfviGraph
 from .oracle import exact_oracle
@@ -33,19 +33,20 @@ KNOWN_ALGORITHMS = ("orbit", "oracle", "sa")
 
 
 def _number(
-    low: int, parse: Callable[[str], float] = int, strict: bool = False, below: float = math.inf
+    low: float, kind: type = int, strict: bool = False, below: float = math.inf
 ) -> Callable[[str], float]:
-    """Argparse type: one finite number no smaller than ``low`` (greater
-    than it when ``strict``) and smaller than ``below``."""
+    """Argparse type: one finite ``kind`` value, written as ``fileio``'s
+    inputs are (ASCII digits, no '_' separators), no smaller than ``low``
+    (greater than it when ``strict``) and smaller than ``below``."""
     bound = f"{'>' if strict else '>='} {low}"
     if below != math.inf:
         bound = f"in {'(' if strict else '['}{low}, {below})"
 
     def check(text: str) -> float:
         try:
-            val = parse(text)
+            val = _plain(kind, text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not (math.isfinite(val) and (val > low if strict else val >= low) and val < below):
             raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text!r}")
         return val
@@ -97,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--epsilon", type=_list_of(_number(1, float), one), default="1",
             help="comma list of balance factors",
         )
-        p.add_argument("--seed", type=int, default=0, help="deterministic run seed")
+        p.add_argument(
+            "--seed", type=_number(-math.inf), default=0, help="deterministic run seed"
+        )
         p.add_argument("--wmax", type=_number(1), default=3, help="largest weight enumerated")
         p.add_argument(
             "--oracle-prefix",

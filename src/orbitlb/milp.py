@@ -16,6 +16,12 @@ Constraint families are numbered 1..14:
 
 Strict inequalities in families 9-10 are relaxed to >= DELTA * volume, which
 LP text can express; the relaxation is recorded in the export header.
+
+``MilpModel.iter_blocks`` is the one description of the rows: blocks of
+template rows and the fills they repeat over, per link and demand (c6, c7)
+or per link over every (demand, flow) pair (c11-c13).  ``iter_rows`` expands
+them for the checker, ``family_counts`` counts them, and the LP writer makes
+each template's text once and puts each fill into it with one ``%``.
 """
 
 from __future__ import annotations
@@ -48,6 +54,20 @@ class Row(NamedTuple):
     side: str = ""  # "lo"/"hi" halves of a two-sided constraint, else ""
 
 
+class Block(NamedTuple):
+    """Template rows repeated over fills: a fill goes into each row's name
+    and variable names with ``%``.  ``key`` names the templates where
+    other blocks share them, else it is None."""
+
+    key: tuple | None
+    rows: tuple[Row, ...]
+    fills: tuple[dict[str, str], ...]
+
+
+# the one fill of a block whose rows have no placeholders
+_ONCE: tuple[dict[str, str], ...] = ({},)
+
+
 def _wvar(eid: str) -> str:
     return f"w_{eid}"
 
@@ -75,7 +95,7 @@ def _bvar(eid: str, p: int, d: int) -> str:
 @dataclass
 class MilpModel:
     """The instance and the model's constants.  Variables and constraint
-    rows are not stored: ``iter_variables`` and ``iter_rows`` yield them."""
+    rows are not stored: ``iter_variables`` and ``iter_blocks`` yield them."""
 
     g: NfviGraph
     demands: tuple[ServiceDemand, ...]
@@ -110,14 +130,26 @@ class MilpModel:
                     yield xp + s, "continuous", 0.0
                     yield bp + s, "binary", 0.0
 
-    def iter_rows(self) -> Iterator[Row]:
-        """Every constraint row, family by family in the order 1..14.
+    def iter_blocks(self) -> Iterator[Block]:
+        """The constraint rows as blocks, family by family in the order
+        1..14; a block's fills, each put into its templates in turn, give
+        its rows in order.
+
+        c11-c13 are a block each of one template per link, whose ``%(n)s``
+        (``<demand>_<flow>``, in the name) and ``%(v)s`` (``<flow>_<demand>``,
+        in the variables) every (demand, flow) pair fills.  c6 templates are
+        per (target, volume) and c7 templates per target; each demand's
+        block fills ``%(d)s`` with its id and shares the key of its
+        templates.  The other families are blocks of one row and the empty
+        fill.  Ids match ``[A-Za-z0-9_]+``, so no name holds a stray ``%``.
 
         The big-M constant is the maximum link capacity.  Distance labels
-        toward a target t exist for nodes v != t; occurrences of the target's
-        own label are the constant 0.  Terms come in a fixed order, and a
-        term whose coefficient is zero is left out.  ``build_model`` has
-        rejected self-loops and colliding names, so no variable occurs
+        toward a target t exist for nodes v != t; occurrences of the
+        target's own label are the constant 0.  Terms come in a fixed order,
+        and a term whose coefficient is zero is left out.  ``validate``
+        rejects link capacities <= 0, so M_z > 0 and c4's capacity term and
+        the M_z terms of c7, c11 and c12 are always there.  ``build_model``
+        has rejected self-loops and colliding names, so no variable occurs
         twice in one row.
         """
         g, demands, targets, m_z = self.g, self.demands, self.targets, self.m_z
@@ -130,8 +162,10 @@ class MilpModel:
         in_at = {v: [at[e.id] for e in g.in_links.get(v, ())] for v in nodes}
         tail_in_at = [in_at[e.src] for e in links]
         x_prefix = [f"x_{eid}_" for eid in eids]
-        b_prefix = [f"b_{eid}_" for eid in eids]
         w_names = [_wvar(eid) for eid in eids]
+
+        def once(*rows: Row) -> Block:
+            return Block(None, rows, _ONCE)
 
         def suffixes(ds: Iterable[ServiceDemand]) -> list[str]:
             return [f"{p}_{d.id}" for d in ds for p in flows]
@@ -157,20 +191,18 @@ class MilpModel:
                 for p in flows:
                     terms += [plus[p][i] for i in outs]
                     terms += [minus[p][i] for i in ins]
-                yield Row(f"c1_{d.id}_{v}", "1", tuple(terms), "=", 0.0)
+                yield once(Row(f"c1_{d.id}_{v}", "1", tuple(terms), "=", 0.0))
         for d in demands:
             terms = tuple([(1.0, x_prefix[i] + s) for s in suffixes((d,)) for i in out_at[d.src]])
-            yield Row(f"c2_{d.id}", "2", terms, "=", d.volume)
+            yield once(Row(f"c2_{d.id}", "2", terms, "=", d.volume))
         for d in demands:
             terms = tuple([(1.0, x_prefix[i] + s) for s in suffixes((d,)) for i in in_at[d.dst]])
-            yield Row(f"c3_{d.id}", "3", terms, "=", d.volume)
+            yield once(Row(f"c3_{d.id}", "3", terms, "=", d.volume))
 
         every = suffixes(demands)
         for i, e in enumerate(links):
             terms = [(1.0, x_prefix[i] + s) for s in every]
-            if e.capacity:
-                terms.append((-e.capacity, "r"))
-            yield Row(f"c4_{e.id}", "4", tuple(terms), "<=", 0.0)
+            yield once(Row(f"c4_{e.id}", "4", (*terms, (-e.capacity, "r")), "<=", 0.0))
 
         for t in targets:
             h_total = sum(d.volume for d in demands if d.dst == t)
@@ -181,38 +213,42 @@ class MilpModel:
                     (1.0, _gvar(e.src, t)),
                     *[(-1.0, x_prefix[i] + s) for s in bound],
                 )
-                yield Row(f"c5_{e.id}_{t}_lo", "5", lo, ">=", 0.0, side="lo")
                 hi = (*lo, (h_total, us[i])) if h_total else lo
-                yield Row(f"c5_{e.id}_{t}_hi", "5", hi, "<=", h_total, side="hi")
+                yield once(
+                    Row(f"c5_{e.id}_{t}_lo", "5", lo, ">=", 0.0, side="lo"),
+                    Row(f"c5_{e.id}_{t}_hi", "5", hi, "<=", h_total, side="hi"),
+                )
 
+        # c6 templates per (target, volume) and c7 templates per target;
+        # each demand fills its id into them
+        shared: dict[tuple, tuple[Row, ...]] = {}
+        x_flows = [tuple([(1.0, f"{pre}{p}_%(d)s") for p in flows]) for pre in x_prefix]
         for d in demands:
-            plus = x_terms(d, 1.0)
-            us = u_names(d.dst)
-            for i, eid in enumerate(eids):
-                terms = [plus[p][i] for p in flows]
-                if d.volume:
-                    terms.append((-d.volume, us[i]))
-                yield Row(f"c6_{d.id}_{eid}", "6", tuple(terms), "<=", 0.0)
-
-        # a c7 pair depends only on the link and the demand's destination
-        pairs: dict[str, list[tuple[tuple, tuple]]] = {}
+            key, us = ("6", d.dst, d.volume), u_names(d.dst)
+            if key not in shared:
+                shared[key] = tuple([
+                    Row(f"c6_%(d)s_{eid}", "6", (*x, (-d.volume, u)) if d.volume else x, "<=", 0.0)
+                    for eid, x, u in zip(eids, x_flows, us)
+                ])
+            yield Block(key, shared[key], ({"d": str(d.id)},))
         for d in demands:
             t = d.dst
-            if t not in pairs:
-                us = u_names(t)
-                pairs[t] = []
-                for i, e in enumerate(links):
+            key, us = ("7", t), u_names(t)
+            if key not in shared:
+                rows: list[Row] = []
+                for e, w, u in zip(links, w_names, us):
                     head = [(1.0, _lvar(e.dst, t))] if e.dst != t else []
                     tail = [(-1.0, _lvar(e.src, t))] if e.src != t else []
-                    common = (*head, (1.0, w_names[i]), *tail)
-                    hi = (*common, (m_z, us[i])) if m_z else common
-                    pairs[t].append(((*common, (1.0, us[i])), hi))
-            for eid, (lo, hi) in zip(eids, pairs[t]):
-                yield Row(f"c7_{d.id}_{eid}_lo", "7", lo, ">=", 1.0, side="lo")
-                yield Row(f"c7_{d.id}_{eid}_hi", "7", hi, "<=", m_z, side="hi")
+                    common = (*head, (1.0, w), *tail)
+                    rows += [
+                        Row(f"c7_%(d)s_{e.id}_lo", "7", (*common, (1.0, u)), ">=", 1.0, "lo"),
+                        Row(f"c7_%(d)s_{e.id}_hi", "7", (*common, (m_z, u)), "<=", m_z, "hi"),
+                    ]
+                shared[key] = tuple(rows)
+            yield Block(key, shared[key], ({"d": str(d.id)},))
 
         for eid, w in zip(eids, w_names):
-            yield Row(f"c8_{eid}", "8", ((1.0, w),), ">=", 1.0)
+            yield once(Row(f"c8_{eid}", "8", ((1.0, w),), ">=", 1.0))
 
         hosts: dict[str, list[tuple[int, float]]] = {}
         for d in demands:
@@ -227,32 +263,26 @@ class MilpModel:
                     ]
                 for p, s in zip(flows, suffixes((d,))):
                     terms = tuple([(k, x_prefix[j] + s) for j, k in hosts[fn]])
-                    yield Row(f"c9_{d.id}_{i}_{p}", "9", terms, ">=", DELTA * d.volume)
+                    yield once(Row(f"c9_{d.id}_{i}_{p}", "9", terms, ">=", DELTA * d.volume))
         for d in demands:
             if d.volume <= 0:
                 continue
             for p, terms in enumerate(x_terms(d, 1.0)):
-                yield Row(f"c10_{d.id}_{p}", "10", tuple(terms), ">=", DELTA * d.volume)
+                yield once(Row(f"c10_{d.id}_{p}", "10", tuple(terms), ">=", DELTA * d.volume))
 
-        for d in demands:
-            for p, s in zip(flows, suffixes((d,))):
-                for eid, xp, bp in zip(eids, x_prefix, b_prefix):
-                    terms = ((1.0, xp + s), (-m_z, bp + s)) if m_z else ((1.0, xp + s),)
-                    yield Row(f"c11_{d.id}_{p}_{eid}", "11", terms, "<=", 0.0)
-        for d in demands:
-            plus, minus = x_terms(d, 1.0), x_terms(d, -1.0)
-            for p, s in zip(flows, suffixes((d,))):
-                for i, eid in enumerate(eids):
-                    terms = [plus[p][i], *[minus[p][j] for j in tail_in_at[i]]]
-                    if m_z:
-                        terms.append((-m_z, b_prefix[i] + s))
-                    yield Row(f"c12_{d.id}_{p}_{eid}", "12", tuple(terms), ">=", -m_z)
-        for d in demands:
-            plus, minus = x_terms(d, 1.0), x_terms(d, -1.0)
-            for p in flows:
-                for i, eid in enumerate(eids):
-                    terms = (plus[p][i], *[minus[p][j] for j in tail_in_at[i]])
-                    yield Row(f"c13_{d.id}_{p}_{eid}", "13", terms, "<=", 0.0)
+        # one template per link for each of c11-c13, filled by every
+        # (demand, flow) pair
+        pairs = tuple([{"n": f"{d.id}_{p}", "v": f"{p}_{d.id}"} for d in demands for p in flows])
+        x = [(1.0, f"{pre}%(v)s") for pre in x_prefix]
+        b = [(-m_z, f"b_{eid}_%(v)s") for eid in eids]
+        down = [(x[i], *[(-1.0, x[j][1]) for j in tail_in_at[i]]) for i in range(len(eids))]
+        for fam, terms, sense, rhs in (
+            ("11", list(zip(x, b)), "<=", 0.0),
+            ("12", [(*dn, bi) for dn, bi in zip(down, b)], ">=", -m_z),
+            ("13", down, "<=", 0.0),
+        ):
+            rows = [Row(f"c{fam}_%(n)s_{eid}", fam, ts, sense, rhs) for eid, ts in zip(eids, terms)]
+            yield Block(None, tuple(rows), pairs)
 
         for v in nodes:
             terms = []
@@ -262,7 +292,20 @@ class MilpModel:
                     terms += [
                         (per_rate, x_prefix[i] + s) for s in suffixes((d,)) for i in in_at[v]
                     ]
-            yield Row(f"c14_{v}", "14", tuple(terms), "<=", g.node_capacity[v])
+            yield once(Row(f"c14_{v}", "14", tuple(terms), "<=", g.node_capacity[v]))
+
+    def iter_rows(self) -> Iterator[Row]:
+        """Every constraint row, family by family in the order 1..14: the
+        blocks of ``iter_blocks`` with each fill put into its templates."""
+        for _key, templates, fills in self.iter_blocks():
+            for fill in fills:
+                if not fill:
+                    yield from templates
+                    continue
+                for row in templates:
+                    yield row._replace(
+                        name=row.name % fill, terms=tuple([(c, v % fill) for c, v in row.terms])
+                    )
 
     @property
     def rows(self) -> list[Row]:
@@ -273,15 +316,18 @@ class MilpModel:
         """Constraints per family; the two halves of a two-sided constraint
         count once."""
         counts: dict[str, int] = {}
-        for row in self.iter_rows():
-            _count(counts, row)
+        for block in self.iter_blocks():
+            _count(counts, block)
         return counts
 
 
-def _count(counts: dict[str, int], row: Row) -> None:
-    """Tally one constraint of the row's family, once per two-sided pair."""
-    if row.side != "hi":
-        counts[row.family] = counts.get(row.family, 0) + 1
+def _count(counts: dict[str, int], block: Block) -> None:
+    """Tally the block's constraints per family: each template once per
+    fill, the two halves of a two-sided constraint once."""
+    n = len(block.fills)
+    for row in block.rows if n else ():
+        if row.side != "hi":
+            counts[row.family] = counts.get(row.family, 0) + n
 
 
 def build_model(
@@ -356,10 +402,12 @@ def _section(title: str, lines: Iterator[str]) -> Iterator[str]:
 
 
 def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
-    """The model's LP text, each piece ending in a newline: a line per row,
-    the tail sections in chunks of lines.  Rows without terms are omitted
-    (they carry no variables and LP rows cannot be empty) but still counted:
-    ``counts`` receives the constraints per family as the rows go by."""
+    """The model's LP text, each piece ending in a newline: the lines of a
+    block per fill, the tail sections in chunks of lines.  A block's text is
+    made once per key, then each fill goes in with one ``%``.  Rows without
+    terms are omitted (they carry no variables and LP rows cannot be empty)
+    but still counted: ``counts`` receives the constraints per family as the
+    blocks go by."""
     yield (
         f"\\ delta = {format_number(DELTA)} "
         "(relaxation of strict traversal inequalities)\n"
@@ -369,13 +417,22 @@ def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
     yield " obj: + r\n"
     yield "Subject To\n"
     prefix, rhs_text = _NumberText(_term_prefix), _NumberText(format_number)
-    for row in model.iter_rows():
-        _count(counts, row)
-        if row.terms:
-            yield (
+    texts: dict[tuple, str] = {}
+    for block in model.iter_blocks():
+        _count(counts, block)
+        text = texts.get(block.key)
+        if text is None:
+            text = "".join([
                 f" {row.name}: {_format_terms(row.terms, prefix)} {row.sense} "
                 f"{rhs_text[row.rhs]}\n"
-            )
+                for row in block.rows
+                if row.terms
+            ])
+            if block.key:
+                texts[block.key] = text
+        if text:
+            for fill in block.fills:
+                yield text % fill
     variables = model.iter_variables
     yield from _section(
         "Bounds\n",

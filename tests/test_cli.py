@@ -229,6 +229,13 @@ BAD_VALUES = [("--kappa", "0"), ("--kappa", "2,x"), ("--epsilon", "0.5"),
         ("sweep", "--oracle-prefix", "-5"),
         ("sweep", "--epsilon", "nan"),
         ("sweep", "--epsilon", "inf"),
+        # flag values are read as the input files' numbers are: ASCII
+        # digits, no '_' separators
+        ("sweep", "--kappa", "1_0"),
+        ("sweep", "--epsilon", "٣.5"),
+        ("sweep", "--seed", "1_0"),
+        ("compare", "--seed", "٣"),
+        ("export", "--pd", "٢"),
     ]
     + [
         ("compare", flag, value)

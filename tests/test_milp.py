@@ -23,7 +23,7 @@ from orbitlb.milp import (
     write_lp,
 )
 from orbitlb.model import Link, NfviGraph, ServiceDemand
-from orbitlb.routing import route_all, unit_weights
+from orbitlb.routing import format_number, route_all, unit_weights
 
 
 def one_demand(volume: float = 8.0) -> ServiceDemand:
@@ -149,9 +149,8 @@ def test_export_writes_one_line_per_nonempty_row(diamond):
     assert exported == nonempty
 
 
-def test_export_number_text_above_1e16():
-    # 10**17 == 1e17, but format_number writes the int in full: right-hand
-    # sides keep their type, coefficients are written as floats
+def huge_numbers_case() -> tuple[NfviGraph, list[ServiceDemand]]:
+    """Capacities of 1e17, given once as an int and once as a float."""
     g = NfviGraph(
         {"a": 10**17, "b": 1e17},
         (Link("ab", "a", "b", 10**17), Link("ba", "b", "a", 1e17)),
@@ -159,7 +158,13 @@ def test_export_number_text_above_1e16():
         {("a", "f"), ("b", "f")},
         {("a", "f"): 1.0, ("b", "f"): 1.0},
     )
-    demands = [ServiceDemand(0, "a", "b", 1.0, ("f",))]
+    return g, [ServiceDemand(0, "a", "b", 1.0, ("f",))]
+
+
+def test_export_number_text_above_1e16():
+    # 10**17 == 1e17, but format_number writes the int in full: right-hand
+    # sides keep their type, coefficients are written as floats
+    g, demands = huge_numbers_case()
     lines = export_lp(build_model(g, demands, flows_per_demand=1)).splitlines()
     assert " c4_ab: + x_ab_0_0 - 1e+17 r <= 0" in lines
     assert " c4_ba: + x_ba_0_0 - 1e+17 r <= 0" in lines
@@ -245,6 +250,56 @@ def test_variable_layout(diamond, case, flows):
     binaries = text.split("Binaries\n")[1].split("End\n")[0].split()
     assert generals == [name for name, _kind, _lb in variables if name[0] in "wl"]
     assert binaries == [name for name, _kind, _lb in variables if name[0] in "ub"]
+
+
+def row_by_row_text(model) -> str:
+    """The "Subject To" lines written one row at a time from ``iter_rows``:
+    each coefficient as a float, its magnitude left out when it is 1, and
+    the right-hand side as ``format_number`` writes it; rows without terms
+    are left out."""
+    lines = []
+    for row in model.iter_rows():
+        if not row.terms:
+            continue
+        terms = []
+        for c, v in row.terms:
+            mag = abs(float(c))
+            text = "" if mag == 1.0 else f"{format_number(mag)} "
+            terms.append(f"{'+' if c >= 0 else '-'} {text}{v}")
+        lines.append(f" {row.name}: {' '.join(terms)} {row.sense} {format_number(row.rhs)}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("flows", [1, 2, 3])
+@pytest.mark.parametrize("case", ["diamond", "chained", "internet2", "huge"])
+def test_block_text_and_counts_agree_with_the_rows(diamond, case, flows):
+    # chained has a zero-volume demand and a destination (a) that is the
+    # head of one link and the tail of another; huge has 1e17 capacities
+    g, demands = huge_numbers_case() if case == "huge" else layout_case(case, diamond)
+    model = build_model(g, demands, flows)
+    text = export_lp(model)
+    subject_to = text.partition("Subject To\n")[2].partition("Bounds\n")[0]
+    assert subject_to == row_by_row_text(model)
+    tally: dict[str, int] = {}
+    for row in model.iter_rows():
+        if row.side != "hi":
+            tally[row.family] = tally.get(row.family, 0) + 1
+    assert model.family_counts() == tally
+
+
+def test_per_link_families_are_one_block_over_every_demand_and_flow():
+    g, demands = internet2_prefix(5)
+    model = build_model(g, demands, 3)
+    fills = {
+        block.rows[0].family: len(block.fills)
+        for block in model.iter_blocks()
+        if block.rows and block.rows[0].family in ("11", "12", "13")
+    }
+    assert fills == {"11": 15, "12": 15, "13": 15}
+    # a c7 block is one demand over the per-target templates
+    sevens = [b for b in model.iter_blocks() if b.rows and b.rows[0].family == "7"]
+    assert len(sevens) == len(demands)
+    assert all(len(b.rows) == 2 * len(g.links) and len(b.fills) == 1 for b in sevens)
 
 
 def test_geant_variable_count():
