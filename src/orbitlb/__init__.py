@@ -21,6 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import (
+    format_number,
     load_demands,
     load_topology,
     serialize_demands,
@@ -54,7 +55,6 @@ from .routing import (
     StreamResult,
     UtilizationReport,
     ecmp_dag,
-    format_number,
     max_link_utilization,
     route_all,
     route_demand_sfc,

@@ -19,13 +19,13 @@ from typing import Callable
 
 from .annealing import AnnealingSchedule, simulated_annealing
 from .errors import OracleGuardError, OrbitlbError, PartitionError
-from .fileio import _plain, load_demands, load_topology, write_text
+from .fileio import _plain, csv_text, format_number, load_demands, load_topology, write_text
 from .milp import build_model, write_lp
 from .model import DemandStream, NfviGraph
 from .oracle import exact_oracle
 from .orbit import run_stream, verify_guarantees
 from .partition import Partitioning, partition
-from .routing import format_number, unit_weights
+from .routing import unit_weights
 
 SWEEP_HEADER = "kappa,epsilon,max_link_utilization,acceptance_ratio"
 COMPARE_HEADER = "algorithm,max_link_utilization,acceptance_ratio,runtime_ms"
@@ -183,7 +183,7 @@ def _run_orbit(
     state = run_stream(g, demands, part, w)
     write_text(os.path.join(out, f"guarantees_{tag}.txt"), verify_guarantees(state).render())
     write_text(os.path.join(out, f"events_{tag}.csv"), state.events_csv())
-    return state.max_utilization(), state.acceptance_ratio()
+    return state.loads.r, state.acceptance_ratio()
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -204,16 +204,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
             tag = f"k{kappa}_e{format_number(eps)}"
             r, acc = _run_orbit(g, demands, part, w, args.out, tag)
             ran += 1
-            rows.append(
-                ",".join([str(kappa), format_number(eps), format_number(r), format_number(acc)])
-            )
+            rows.append((kappa, eps, r, acc))
     if ran == 0:
         print("error: no (kappa, epsilon) pair was feasible", file=sys.stderr)
         return 1
-    write_text(
-        os.path.join(args.out, "sweep.csv"),
-        "\n".join([SWEEP_HEADER, *rows]) + "\n",
-    )
+    write_text(os.path.join(args.out, "sweep.csv"), csv_text(SWEEP_HEADER, rows))
     return 0
 
 
@@ -231,7 +226,7 @@ def _run_compare(args: argparse.Namespace) -> int:
                 oracle = exact_oracle(g, list(demands), args.wmax)
             except OracleGuardError as exc:
                 print(f"warning: exhaustive search skipped: {exc}", file=sys.stderr)
-                rows.append("oracle,nan,nan,nan")
+                rows.append(("oracle", math.nan, math.nan, math.nan))
                 continue
             write_text(os.path.join(args.out, "oracle_log.csv"), oracle.log_csv())
             if oracle.feasible:
@@ -252,15 +247,8 @@ def _run_compare(args: argparse.Namespace) -> int:
             r = sa.report.r
             acc = sa.acceptance_ratio
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        rows.append(
-            ",".join(
-                [algo, format_number(r), format_number(acc), format_number(round(elapsed_ms, 3))]
-            )
-        )
-    write_text(
-        os.path.join(args.out, "compare.csv"),
-        "\n".join([COMPARE_HEADER, *rows]) + "\n",
-    )
+        rows.append((algo, r, acc, round(elapsed_ms, 3)))
+    write_text(os.path.join(args.out, "compare.csv"), csv_text(COMPARE_HEADER, rows))
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .model import (
@@ -33,7 +33,6 @@ from .model import (
     validate,
     validate_demands,
 )
-from .routing import format_number
 
 
 def _logical_lines(path: str) -> list[tuple[int, list[str]]]:
@@ -160,6 +159,28 @@ def load_demands(path: str, graph: NfviGraph | None = None) -> DemandStream:
         if problems:
             raise ValidationError(problems)
     return stream
+
+
+def format_number(x: float) -> str:
+    """Canonical text for a number, read back to the same value by the
+    parsers above: integral values below 1e16 lose the trailing .0."""
+    if x != x:
+        return "nan"
+    if x in (math.inf, -math.inf):
+        return "inf" if x > 0 else "-inf"
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(x)
+
+
+def csv_text(header: str, rows: Iterable[Sequence[str | float]]) -> str:
+    """A CSV file's text: the header line, then one line per row with text
+    cells as they are and numbers as ``format_number`` writes them."""
+    lines = [header]
+    lines.extend(
+        ",".join([c if isinstance(c, str) else format_number(c) for c in row]) for row in rows
+    )
+    return "\n".join(lines) + "\n"
 
 
 def serialize_topology(graph: NfviGraph) -> str:

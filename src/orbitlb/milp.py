@@ -32,14 +32,9 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import RoutingError, ValidationError
-from .fileio import write_text
+from .fileio import format_number, write_text
 from .model import NfviGraph, ServiceDemand, validate, validate_demands
-from .routing import (
-    FlowAllocation,
-    format_number,
-    max_link_utilization,
-    shortest_path_field,
-)
+from .routing import FlowAllocation, max_link_utilization, shortest_path_field
 
 DELTA = 1e-4
 CHECK_TOL = 1e-9
@@ -336,12 +331,14 @@ def build_model(
     """Check the instance; the model yields its variables and constraint
     rows on demand.  Targets are the distinct demand destinations.  Raises
     ValidationError when ``validate`` or ``validate_demands`` reports a
-    problem, since the rows assume a well-formed instance, or when two
-    generated variable names collide.
+    problem, since the rows assume a well-formed instance, when a demand id
+    is negative (LP text would read its '-' in a name as a minus sign), or
+    when two generated variable names collide.
     """
     if flows_per_demand < 1:
         raise ValidationError([f"flows per demand must be >= 1, got {flows_per_demand}"])
     problems = validate(g) + validate_demands(demands, g)
+    problems += [f"demand {d.id}: negative id cannot be an LP name" for d in demands if d.id < 0]
     if problems:
         raise ValidationError(problems)
     model = MilpModel(
@@ -433,13 +430,20 @@ def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
         if text:
             for fill in block.fills:
                 yield text % fill
-    variables = model.iter_variables
+    # Bounds and Generals hold only the few weight and label names, so one
+    # walk lists both; the many binaries stream from a second walk.
+    bounds: list[str] = []
+    generals: list[str] = []
+    for n, k, lb in model.iter_variables():
+        if lb != 0.0:
+            bounds.append(f" {n} >= {format_number(lb)}\n")
+        if k == "integer":
+            generals.append(f" {n}\n")
+    yield from _section("Bounds\n", iter(bounds))
+    yield from _section("Generals\n", iter(generals))
     yield from _section(
-        "Bounds\n",
-        (f" {n} >= {format_number(lb)}\n" for n, _k, lb in variables() if lb != 0.0),
+        "Binaries\n", (f" {n}\n" for n, k, _lb in model.iter_variables() if k == "binary")
     )
-    yield from _section("Generals\n", (f" {n}\n" for n, k, _lb in variables() if k == "integer"))
-    yield from _section("Binaries\n", (f" {n}\n" for n, k, _lb in variables() if k == "binary"))
     yield "End\n"
 
 

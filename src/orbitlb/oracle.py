@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import OracleGuardError
+from .fileio import csv_text
 from .model import NfviGraph, ServiceDemand
-from .routing import format_number, route_all
+from .routing import route_all
 
 GUARD_LIMIT = 10**7
 LOG_LIMIT = 10000
@@ -26,10 +27,6 @@ class OracleEntry:
     w: tuple[int, ...]
     feasible: bool
     r: float  # nan when some demand cannot be routed at all
-
-    def csv_row(self) -> str:
-        wtxt = " ".join(str(x) for x in self.w)
-        return f"{wtxt},{int(self.feasible)},{format_number(self.r)}"
 
 
 @dataclass
@@ -44,9 +41,10 @@ class OracleResult:
         return self.best_w is not None
 
     def log_csv(self) -> str:
-        lines = ["w_vector,feasible,r"]
-        lines.extend(e.csv_row() for e in self.log)
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            "w_vector,feasible,r",
+            ((" ".join(map(str, e.w)), int(e.feasible), e.r) for e in self.log),
+        )
 
 
 def exact_oracle(

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .fileio import csv_text, format_number
 from .model import NfviGraph, ServiceDemand
 from .partition import Partitioning
 from .routing import (
@@ -28,7 +29,6 @@ from .routing import (
     UtilizationReport,
     _alloc_node_usage,
     _reached,
-    format_number,
     route_demand_sfc,
     shortest_path_field,
     unit_weights,
@@ -50,20 +50,6 @@ class EventRecord:
     d_o: int
     r_current: float
     acceptance_ratio: float
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.demand_id),
-                self.decision,
-                self.reason,
-                format_number(self.sum_z),
-                format_number(self.p_o),
-                str(self.d_o),
-                format_number(self.r_current),
-                format_number(self.acceptance_ratio),
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -108,7 +94,8 @@ class OrbitState:
         self._ramps: dict[tuple[int, str, bool], frozenset[str] | None] = {}
 
     def max_utilization(self) -> float:
-        """max(chi/capacity) rescanned over every link; equals loads.r."""
+        """max(chi/capacity) rescanned over every link.  It equals loads.r,
+        and checkers call it to test that running maximum independently."""
         return max((self.chi[e.id] / e.capacity for e in self.g.links), default=0.0)
 
     def acceptance_ratio(self) -> float:
@@ -117,9 +104,14 @@ class OrbitState:
         return self.accepted_count / len(self.demand_q)
 
     def events_csv(self) -> str:
-        lines = [EVENT_HEADER]
-        lines.extend(ev.csv_row() for ev in self.events)
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            EVENT_HEADER,
+            (
+                (ev.demand_id, ev.decision, ev.reason, ev.sum_z, ev.p_o, ev.d_o,
+                 ev.r_current, ev.acceptance_ratio)
+                for ev in self.events
+            ),
+        )
 
 
 def eligible_partitions(

@@ -596,13 +596,3 @@ def _still_holds(g: NfviGraph, field: ShortestPathField, moves: _Moves, rec: _Ro
                 return False
     return True
 
-
-def format_number(x: float) -> str:
-    """Canonical text for a float: integral values lose the trailing .0."""
-    if x != x:
-        return "nan"
-    if x in (INF, -INF):
-        return "inf" if x > 0 else "-inf"
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)

@@ -206,6 +206,20 @@ def test_malformed_number_exits_one(diamond_files, tmp_path, capsys, command, ba
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_demand_id_fails_export_only(diamond_files, tmp_path, capsys):
+    topo, _dem = diamond_files
+    dem = tmp_path / "neg.demands"
+    dem.write_text("demand -2 s t 1 -\ndemand 3 s t 1 -\n")
+    files = ["--topology", topo, "--demands", str(dem)]
+    assert main(["export", *files, "--out", str(tmp_path / "lp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "demand -2: negative id" in err
+    assert not (tmp_path / "lp").exists()
+    assert main(["sweep", *files, "--out", str(tmp_path / "sweep")]) == 0
+    events = (tmp_path / "sweep" / "events_k1_e1.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in events[1:]] == ["-2", "3"]
+
+
 def test_usage_errors_exit_two(diamond_files, tmp_path):
     topo, dem = diamond_files
     with pytest.raises(SystemExit) as exc:

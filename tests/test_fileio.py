@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitlb import dataset_path
 from orbitlb.errors import ParseError, ValidationError
 from orbitlb.fileio import (
+    _num,
+    csv_text,
+    format_number,
     load_demands,
     load_topology,
     serialize_demands,
@@ -280,3 +284,39 @@ def test_write_text_writes_an_iterable_of_chunks(tmp_path):
     target = tmp_path / "out.txt"
     write_text(str(target), (f"line {i}\n" for i in range(3)))
     assert target.read_text() == "line 0\nline 1\nline 2\n"
+
+
+def test_csv_text_frames_header_and_rows():
+    assert csv_text("a,b", []) == "a,b\n"
+    rows = [
+        ("fw nat", "", "-"),
+        (3, 2.0, -3.0, 0.5),
+        (math.nan, math.inf, -math.inf),
+        (1e16, 2.5e17, -1e20, 10**17),
+    ]
+    assert csv_text("h", rows) == (
+        "h\n"
+        "fw nat,,-\n"
+        "3,2,-3,0.5\n"
+        "nan,inf,-inf\n"
+        # floats from 1e16 up in exponent form; an int is written in full
+        "1e+16,2.5e+17,-1e+20,100000000000000000\n"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=1e16, allow_infinity=False),
+    )
+)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1e16)
+@example(1e16 + 2.0)
+@example(-(2.0**60))
+def test_number_text_reads_back_to_the_same_float(x):
+    # -0.0 is written "0", which reads back as 0.0 == -0.0
+    assert _num("x", 1, format_number(x), "value") == x

@@ -23,7 +23,8 @@ from orbitlb.milp import (
     write_lp,
 )
 from orbitlb.model import Link, NfviGraph, ServiceDemand
-from orbitlb.routing import format_number, route_all, unit_weights
+from orbitlb.fileio import format_number
+from orbitlb.routing import route_all, unit_weights
 
 
 def one_demand(volume: float = 8.0) -> ServiceDemand:
@@ -361,6 +362,18 @@ def test_ids_ending_in_a_newline_rejected():
         "node id 'b\\n' contains unsupported characters",
         "link id 'e\\n' contains unsupported characters",
         "function id 'fw\\n' contains unsupported characters",
+    ]
+
+
+def test_negative_demand_ids_rejected(diamond):
+    # LP text reads the '-' of "x_e1_0_-2" as a minus sign
+    g = diamond
+    demands = [ServiceDemand(i, "s", "t", 1.0, ()) for i in (-5, -2, 0)]
+    with pytest.raises(ValidationError) as exc:
+        build_model(g, demands)
+    assert exc.value.violations == [
+        "demand -5: negative id cannot be an LP name",
+        "demand -2: negative id cannot be an LP name",
     ]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from orbitlb import dataset_path, orbit, routing
 from orbitlb.errors import ValidationError
-from orbitlb.fileio import load_demands, load_topology
+from orbitlb.fileio import format_number, load_demands, load_topology
 from orbitlb.model import DemandStream, Link, NfviGraph, ServiceDemand
 from orbitlb.oracle import exact_oracle
 from orbitlb.orbit import OrbitState, run_stream
@@ -27,7 +27,6 @@ from orbitlb.routing import (
     _split_segment,
     capacity_slack,
     ecmp_dag,
-    format_number,
     max_link_utilization,
     route_all,
     route_demand_sfc,
