@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
@@ -34,12 +35,19 @@ from .model import (
     validate_demands,
 )
 
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
 
 def _logical_lines(path: str) -> list[tuple[int, list[str]]]:
-    """Non-empty, comment-stripped lines as (line_no, fields)."""
+    """Non-empty, comment-stripped lines as (line_no, fields); a line that
+    is not UTF-8 text is a ParseError."""
     out: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # each byte that is not UTF-8 reads as a lone surrogate, which UTF-8
+    # text cannot hold, so the offending line can be named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for no, raw in enumerate(fh, start=1):
+            if not raw.isascii() and _NOT_UTF8.search(raw):
+                raise ParseError(path, no, "line is not valid UTF-8 text")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -90,6 +90,9 @@ class OrbitState:
         self.trace: list[tuple[int, float, int]] = []
         self.events: list[EventRecord] = []
         self.accepted_count: int = 0
+        # share fields per (group, source, destination), member endpoints as
+        # None; each extends the cached field of one ramp fewer (see
+        # _chained_field), which it holds as its base
         self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
         self._ramps: dict[tuple[int, str, bool], frozenset[str] | None] = {}
 
@@ -136,16 +139,31 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
     source, destination) with a member endpoint as None: weights are >= 1,
     so a member is its own unique closest member and adds no ramp."""
     members = state.part.parts[i].nodes
-    key = (i, None if d.src in members else d.src, None if d.dst in members else d.dst)
+    return _chained_field(
+        state, i, None if d.src in members else d.src, None if d.dst in members else d.dst
+    )
+
+
+def _chained_field(
+    state: OrbitState, i: int, src: str | None, dst: str | None
+) -> ShortestPathField | None:
+    """The cached share field of key (i, src, dst), built as a chain whose
+    fills start from the field it extends: (i, None, None) holds the group's
+    links alone; (i, None, dst) adds dst's exit ramp to it, and (i, src,
+    dst) adds src's entry ramp to (i, None, dst), so it is None exactly when
+    either ramp is.  Building (i, src, dst) also caches (i, None, dst)."""
+    key = (i, src, dst)
     if key not in state._subgraphs:
-        ends = ((key[1], True), (key[2], False))
-        ramps = [_ramp(state, i, v, entry) for v, entry in ends if v is not None]
-        masked = None
-        if None not in ramps:
-            link_ids = set(state.part.parts[i].link_ids).union(*ramps)
+        if src is None and dst is None:
             # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
-            masked = ShortestPathField(state.g, state.w, link_ids)
-        state._subgraphs[key] = masked
+            field = ShortestPathField(state.g, state.w, set(state.part.parts[i].link_ids))
+        else:
+            base = _chained_field(state, i, None, None if src is None else dst)
+            ramp = _ramp(state, i, dst if src is None else src, src is not None)
+            field = None
+            if base is not None and ramp is not None:
+                field = ShortestPathField(state.g, state.w, ramp.union(base._w), base)
+        state._subgraphs[key] = field
     return state._subgraphs[key]
 
 

@@ -61,12 +61,33 @@ class ShortestPathField:
 
     ``links``, when given, masks the graph to those link ids: answers equal
     those over ``g.restricted(links)`` on its nodes; other nodes are unreachable.
+
+    ``base``, when given, is a field of the same graph whose links and
+    weights are a subset of this field's.  A fill of root r then starts from
+    ``base``'s fill of r, exact over fewer links and so an upper bound,
+    relaxes only the links this field adds and runs Dijkstra on from the
+    nodes they improved (an edge-insertion update, Ramalingam & Reps 1996).
+    When no added link improves a node the fill is ``base``'s dict itself:
+    no fill is ever changed once made.
     """
 
-    def __init__(self, g: NfviGraph, w: dict[str, int], links: set[str] | None = None) -> None:
+    def __init__(
+        self,
+        g: NfviGraph,
+        w: dict[str, int],
+        links: set[str] | None = None,
+        base: ShortestPathField | None = None,
+    ) -> None:
         self._g = g
         # the weights of the allowed links only
         self._w = {e.id: w[e.id] for e in g.links} if links is None else {i: w[i] for i in links}
+        self._base = base
+        # the links a fill relaxes on top of base's fill
+        self._added: list[Link] = []
+        if base is not None:
+            if base._g is not g or not base._w.items() <= self._w.items():
+                raise ValueError("base must be a field of g over a subset of these weighted links")
+            self._added = [g.link_by_id[i] for i in self._w.keys() - base._w.keys()]
         # _dist[t][v] is the distance from v to t, math.inf when unreachable
         self._dist: dict[str, dict[str, float]] = {}
         # _out[t][v] is v's tight list toward t, for the nodes asked so far
@@ -76,14 +97,27 @@ class ShortestPathField:
 
     def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
         """Distances from root (forward, over out-links) or to root
-        (reverse, over in-links) for every node."""
-        g, w = self._g, self._w
+        (reverse, over in-links) for every node, from scratch or from
+        ``base``'s fill of root."""
+        g, w, base = self._g, self._w, self._base
         if root not in g.node_capacity:
             raise KeyError(root)
         adjacent = g.out_links if forward else g.in_links
-        d = dict.fromkeys(g.node_capacity, INF)
-        d[root] = 0
-        heap = [(0, root)]
+        if base is None:
+            d = dict.fromkeys(g.node_capacity, INF)
+            d[root] = 0
+            heap = [(0, root)]
+        else:
+            d = base.from_source(root) if forward else base.to_target(root)
+            heap = []
+            for e in self._added:
+                n, f = (e.dst, e.src) if forward else (e.src, e.dst)
+                alt = d[f] + w[e.id]
+                if alt < d[n]:
+                    if not heap:
+                        d = dict(d)  # base's fill is shared; copy on the first change
+                    d[n] = alt
+                    heapq.heappush(heap, (alt, n))
         while heap:
             dv, v = heapq.heappop(heap)
             if dv > d[v]:

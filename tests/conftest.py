@@ -65,3 +65,21 @@ def chain_graph(caps: list[float]) -> NfviGraph:
         Link(f"p{i}", names[i], names[i + 1], cap) for i, cap in enumerate(caps)
     )
     return NfviGraph({v: 0.0 for v in names}, links, frozenset(), {}, {})
+
+
+def random_chained_instance(rng: random.Random) -> tuple[NfviGraph, list[ServiceDemand]]:
+    """Random strongly connected graph with hosts, fractional costs, tight
+    node capacities and chained demands."""
+    base = random_connected_graph(rng, max_nodes=9)
+    fns = ["fw", "nat", "dpi"]
+    nodes = {v: float(rng.choice([1, 5, 40])) for v in base.nodes}
+    caps = sorted((v, f) for v in nodes for f in fns if rng.random() < 0.4)
+    costs = {(v, f): rng.choice([0.1, 0.3, 0.5, 2.0]) for v, f in caps if rng.random() < 0.8}
+    g = NfviGraph(nodes, base.links, fns, caps, costs)
+    names = sorted(g.nodes)
+    demands = []
+    for i in range(rng.randint(1, 15)):
+        u, v = rng.sample(names, 2)
+        chain = tuple(rng.sample(fns, rng.randint(0, 2)))
+        demands.append(ServiceDemand(i, u, v, rng.choice([0.0, 1.0, 1.5, 2.7, 4.0]), chain))
+    return g, demands

@@ -206,6 +206,27 @@ def test_malformed_number_exits_one(diamond_files, tmp_path, capsys, command, ba
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "bad, data, line",
+    [("topology", b"node a 1\nnode b\xff 1\n", 2), ("demands", b"demand 0 s\xff t 8 -\n", 1)],
+)
+def test_file_that_is_not_utf8_exits_one(diamond_files, tmp_path, capsys, bad, data, line):
+    """A file that is not UTF-8 text is malformed input: exit 1 and one
+    error line naming it, with no traceback."""
+    topo, dem = diamond_files
+    files = {"topology": topo, "demands": dem}
+    broken = tmp_path / f"broken.{bad}"
+    broken.write_bytes(data)
+    files[bad] = str(broken)
+    code = main(
+        ["export", "--topology", files["topology"], "--demands", files["demands"],
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {broken}:{line}: line is not valid UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_demand_id_fails_export_only(diamond_files, tmp_path, capsys):
     topo, _dem = diamond_files
     dem = tmp_path / "neg.demands"

@@ -79,6 +79,25 @@ def test_parse_error_carries_path_and_line(tmp_path):
     assert str(exc.value).startswith(f"{path}:2:")
 
 
+@pytest.mark.parametrize(
+    "name, data, line",
+    [
+        ("t.topo", b"node a 1\nnode b\xff 1\n", 2),
+        ("t.topo", b"# caf\xc3\xa9\n\nnode a 1 # \xe9t\xe9\n", 3),
+        ("d.demands", b"demand 0 a b 1 -\r\ndemand 1 a b 2 fw\xc3\n", 2),
+    ],
+)
+def test_line_that_is_not_utf8_is_a_parse_error(tmp_path, name, data, line):
+    """A byte sequence that is not UTF-8, even inside a comment, fails as
+    malformed input at its own line; valid UTF-8 before it reads on."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    load = load_demands if name.endswith(".demands") else load_topology
+    with pytest.raises(ParseError) as exc:
+        load(str(path))
+    assert str(exc.value) == f"{path}:{line}: line is not valid UTF-8 text"
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "name, text, what",

@@ -32,11 +32,12 @@ from orbitlb.orbit import (
 from orbitlb.partition import Partition, Partitioning, partition
 from orbitlb.routing import (
     FlowAllocation,
+    ShortestPathField,
     _alloc_node_usage,
     route_demand_sfc,
     shortest_path_field,
 )
-from tests.conftest import random_connected_graph, random_stream
+from tests.conftest import random_chained_instance, random_connected_graph, random_stream
 
 
 def two_pair_graph() -> NfviGraph:
@@ -491,6 +492,88 @@ def test_member_endpoints_share_one_share_field(monkeypatch):
     assert cached.chi == fresh.chi and cached.residual_node == fresh.residual_node
     assert 0 < cached.accepted_count < len(demands)
     assert len(cached._subgraphs) < len(lookups)
+
+
+def chain_base(key):
+    """The key of the share field that key's field extends, None for a
+    group's own links."""
+    i, src, dst = key
+    if src is not None:
+        return (i, None, dst)
+    return None if dst is None else (i, None, None)
+
+
+def chained_streams():
+    """Seeded streams whose share fields the tests below inspect: bundled
+    geant at (3, 1.5), which has a group in two pieces, and random chained
+    instances at (2, 1.5) plus a node x without links, so that demands to
+    and from x find no ramp into or out of the groups x is not in."""
+    g = load_topology(dataset_path("geant.topo"))
+    yield g, load_demands(dataset_path("geant.demands"), g), partition(g, 3, 1.5)
+    for seed in range(6):
+        g, demands = random_chained_instance(random.Random(seed))
+        g = NfviGraph({**g.node_capacity, "x": 1.0}, g.links, g.vnf_catalog,
+                      g.capability_pairs(), g.vnf_cost)
+        ends = [pair for v in sorted(g.nodes)[:3] for pair in (("x", v), (v, "x"))]
+        demands += [ServiceDemand(len(demands) + k, a, b, 1.0) for k, (a, b) in enumerate(ends)]
+        yield g, demands, partition(g, 2, 1.5)
+
+
+def test_share_fields_chain_and_answer_as_fresh_masked_fields():
+    """After a stream, every cached share field holds the field of its
+    chain's previous key as its base and answers every fill and tight list
+    as a fresh field masked to the same links; a field is None exactly when
+    the field it extends is, or its own ramp does not exist."""
+    split, unjoined = False, 0
+    for g, demands, part in chained_streams():
+        split |= bool(part.verify(g))
+        state = run_stream(g, demands, part)
+        unjoined += list(state._subgraphs.values()).count(None)
+        for key, field in state._subgraphs.items():
+            base_key = chain_base(key)
+            if base_key is None:
+                assert field is not None and field._base is None
+                assert set(field._w) == set(part.parts[key[0]].link_ids)
+                continue
+            base = state._subgraphs[base_key]
+            i, src, dst = key
+            ramp = state._ramps[(i, src, True) if src is not None else (i, dst, False)]
+            if base is None or ramp is None:
+                assert field is None
+                continue
+            assert field._base is base and set(field._w) == set(base._w) | ramp
+            fresh = ShortestPathField(g, state.w, set(field._w))
+            for r in g.nodes:
+                assert field.to_target(r) == fresh.to_target(r)
+                assert field.from_source(r) == fresh.from_source(r)
+                assert all(field.out_links(v, r) == fresh.out_links(v, r) for v in g.nodes)
+    assert split and unjoined
+
+
+def test_share_fields_fill_from_scratch_only_for_group_links(monkeypatch):
+    """Over a whole stream, only a group's own-links field (i, None, None)
+    fills from scratch, so such fills number at most 2·κ·|V|; every other
+    share field fill starts from its base's."""
+    scratch, based = [], 0
+    dijkstra = ShortestPathField._dijkstra
+
+    def recording(field, root, forward):
+        nonlocal based
+        if field._base is None:
+            scratch.append(field)
+        else:
+            based += 1
+        return dijkstra(field, root, forward)
+
+    monkeypatch.setattr(ShortestPathField, "_dijkstra", recording)
+    for g, demands, part in chained_streams():
+        scratch.clear()
+        state = run_stream(g, demands, part)
+        keys = {id(field): key for key, field in state._subgraphs.items()}
+        share = [field for field in scratch if field is not state.field]
+        assert all(keys[id(field)][1:] == (None, None) for field in share)
+        assert len(share) <= 2 * part.kappa * len(g.node_capacity)
+    assert based > 1000
 
 
 def ramp_from_scratch(g, w, v, members, entry):

@@ -36,7 +36,7 @@ from orbitlb.routing import (
     unit_weights,
     validate_weights,
 )
-from tests.conftest import chain_graph, random_connected_graph
+from tests.conftest import chain_graph, random_chained_instance, random_connected_graph
 
 INF = float("inf")
 
@@ -171,6 +171,52 @@ def test_masked_field_matches_the_restricted_subgraph(gw, data):
         from_s = masked.from_source(s)
         assert {v: from_s[v] for v in sub.nodes} == ref.from_source(s)
         assert all(from_s[v] == INF for v in outside)
+
+
+def test_base_must_be_a_weighted_subset_of_the_same_graph(diamond):
+    w = unit_weights(diamond)
+    field = ShortestPathField(diamond, w, {"e_sa", "e_at"})
+    ShortestPathField(diamond, w, {"e_sa", "e_at", "e_sb"}, field)
+    other = NfviGraph(dict(diamond.node_capacity), diamond.links, frozenset(), {}, {})
+    for g, weights, links in (
+        (other, w, None),  # an equal graph, but not the same one
+        (diamond, w, {"e_sa", "e_sb"}),  # e_at is not among the links
+        (diamond, {**w, "e_at": 2}, None),  # e_at weighs 2, not 1
+    ):
+        with pytest.raises(ValueError):
+            ShortestPathField(g, weights, links, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_field_over_a_base_answers_as_a_fresh_field(gw, data):
+    """A field over links B whose base is a field over A, a subset of B,
+    answers every target, source and tight list as a fresh field over B,
+    whether the base filled its roots before or after; the base's answers
+    do not change, and with A = B every fill is the base's own dict."""
+    g, w = gw
+    b = data.draw(st.none() | st.sets(st.sampled_from(g.link_ids))) if g.links else None
+    in_b = sorted(g.link_ids if b is None else b)
+    a = data.draw(st.sampled_from([b, data.draw(st.sets(st.sampled_from(in_b))) if in_b else set()]))
+    base = ShortestPathField(g, w, a)
+    filled_first = data.draw(st.sets(st.sampled_from(g.nodes)))
+    for r in filled_first:
+        base.to_target(r), base.from_source(r)
+    field = ShortestPathField(g, w, b, base)
+    fresh, fresh_base = ShortestPathField(g, w, b), ShortestPathField(g, w, a)
+    for r in data.draw(st.permutations(g.nodes)):
+        assert field.to_target(r) == fresh.to_target(r)
+        assert field.from_source(r) == fresh.from_source(r)
+        for v in g.nodes:
+            assert field.out_links(v, r) == fresh.out_links(v, r)
+    for r in g.nodes:
+        assert base.to_target(r) == fresh_base.to_target(r)
+        assert base.from_source(r) == fresh_base.from_source(r)
+        for v in g.nodes:
+            assert base.out_links(v, r) == fresh_base.out_links(v, r)
+        if a == b:
+            assert field.to_target(r) is base.to_target(r)
+            assert field.from_source(r) is base.from_source(r)
 
 
 def eager_tight_lists(g, w, links, t):
@@ -585,24 +631,6 @@ def test_node_usage_counts_capable_nodes_by_inflow():
     assert report.node_usage["b"] == 4.0
     assert report.node_usage["c"] == 0.0
     assert report.over_capacity_nodes(g) == []
-
-
-def random_chained_instance(rng: random.Random) -> tuple[NfviGraph, list[ServiceDemand]]:
-    """Random strongly connected graph with hosts, fractional costs, tight
-    node capacities and chained demands."""
-    base = random_connected_graph(rng, max_nodes=9)
-    fns = ["fw", "nat", "dpi"]
-    nodes = {v: float(rng.choice([1, 5, 40])) for v in base.nodes}
-    caps = sorted((v, f) for v in nodes for f in fns if rng.random() < 0.4)
-    costs = {(v, f): rng.choice([0.1, 0.3, 0.5, 2.0]) for v, f in caps if rng.random() < 0.8}
-    g = NfviGraph(nodes, base.links, fns, caps, costs)
-    names = sorted(g.nodes)
-    demands = []
-    for i in range(rng.randint(1, 15)):
-        u, v = rng.sample(names, 2)
-        chain = tuple(rng.sample(fns, rng.randint(0, 2)))
-        demands.append(ServiceDemand(i, u, v, rng.choice([0.0, 1.0, 1.5, 2.7, 4.0]), chain))
-    return g, demands
 
 
 def full_scan_node_usage(alloc, g: NfviGraph) -> dict[str, float]:
