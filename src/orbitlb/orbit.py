@@ -137,7 +137,9 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
     endpoints (see _ramp).  None when the group is unreachable from the
     source or cannot reach the destination.  Fields are cached per (group,
     source, destination) with a member endpoint as None: weights are >= 1,
-    so a member is its own unique closest member and adds no ramp."""
+    so a member is its own unique closest member and adds no ramp.  Each
+    field extends the field of one ramp fewer and starts its fills from
+    that field's (see _chained_field)."""
     members = state.part.parts[i].nodes
     return _chained_field(
         state, i, None if d.src in members else d.src, None if d.dst in members else d.dst
