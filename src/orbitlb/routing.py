@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -49,15 +50,34 @@ def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
         raise ValidationError(problems)
 
 
+class _Fill(dict):
+    """One fill's distances, keyed by the nodes it reached.  Any other node
+    of the graph reads as math.inf through ``[]``; a key that is not a node
+    raises KeyError.  Hot loops read through a bound ``get(v, INF)``
+    instead: a dict subclass's ``[]`` and ``.get`` cost about half as much
+    again as a plain dict's, a bound ``get`` the same."""
+
+    __slots__ = ("_nodes",)
+    _nodes: dict[str, float]  # the graph's nodes, g.node_capacity
+
+    def __missing__(self, v: str) -> float:
+        if v in self._nodes:
+            return INF
+        raise KeyError(v)
+
+
 class ShortestPathField:
     """Shortest-path state of one graph under one weight vector.
 
-    Per target t, filled on first use: dist(v, t) for every node v (one
-    reverse Dijkstra, exact since weights are positive).  A node's tight
-    out-links toward t, those on some shortest path to t, are listed on
-    first ask, in declaration order, and kept.  Per source s, also on first
-    use: dist(s, v) for every node v (one forward Dijkstra).  The weights are
-    copied, so later changes to the caller's dict do not alter the answers.
+    Per target t, filled on first use: dist(v, t) for every node v that
+    reaches t (one reverse Dijkstra, exact since weights are positive).  A
+    fill is sparse: it holds only the nodes it reached, and any other node
+    of the graph reads as math.inf (see _Fill).  A node's tight out-links
+    toward t, those on some shortest path to t, are listed on first ask, in
+    declaration order, and kept; a target's dict of lists is made with its
+    first list.  Per source s, also on first use: dist(s, v) for every node
+    v that s reaches (one forward Dijkstra).  The weights are copied, so
+    later changes to the caller's dict do not alter the answers.
 
     ``links``, when given, masks the graph to those link ids: answers equal
     those over ``g.restricted(links)`` on its nodes; other nodes are unreachable.
@@ -68,7 +88,8 @@ class ShortestPathField:
     relaxes only the links this field adds and runs Dijkstra on from the
     nodes they improved (an edge-insertion update, Ramalingam & Reps 1996).
     When no added link improves a node the fill is ``base``'s dict itself:
-    no fill is ever changed once made.
+    no fill is ever changed once made.  Otherwise only base's reached
+    entries are copied.
     """
 
     def __init__(
@@ -88,61 +109,65 @@ class ShortestPathField:
             if base._g is not g or not base._w.items() <= self._w.items():
                 raise ValueError("base must be a field of g over a subset of these weighted links")
             self._added = [g.link_by_id[i] for i in self._w.keys() - base._w.keys()]
-        # _dist[t][v] is the distance from v to t, math.inf when unreachable
-        self._dist: dict[str, dict[str, float]] = {}
+        # _dist[t][v] is the distance from v to t, for the nodes reaching t
+        self._dist: dict[str, _Fill] = {}
         # _out[t][v] is v's tight list toward t, for the nodes asked so far
         self._out: dict[str, dict[str, list[Link]]] = {}
-        # _from[s][v] is the distance from s to v
-        self._from: dict[str, dict[str, float]] = {}
+        # _from[s][v] is the distance from s to v, for the nodes s reaches
+        self._from: dict[str, _Fill] = {}
 
-    def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
+    def _dijkstra(self, root: str, forward: bool) -> _Fill:
         """Distances from root (forward, over out-links) or to root
-        (reverse, over in-links) for every node, from scratch or from
-        ``base``'s fill of root."""
+        (reverse, over in-links) for every node reached, from scratch or
+        from ``base``'s fill of root."""
         g, w, base = self._g, self._w, self._base
         if root not in g.node_capacity:
             raise KeyError(root)
         adjacent = g.out_links if forward else g.in_links
         if base is None:
-            d = dict.fromkeys(g.node_capacity, INF)
-            d[root] = 0
+            d = _Fill({root: 0})
             heap = [(0, root)]
         else:
             d = base.from_source(root) if forward else base.to_target(root)
-            heap = []
+            get, heap = d.get, []
             for e in self._added:
                 n, f = (e.dst, e.src) if forward else (e.src, e.dst)
-                alt = d[f] + w[e.id]
-                if alt < d[n]:
+                alt = get(f, INF) + w[e.id]
+                if alt < get(n, INF):
                     if not heap:
-                        d = dict(d)  # base's fill is shared; copy on the first change
+                        d = _Fill(d)  # base's fill is shared; copy on the first change
+                        get = d.get
                     d[n] = alt
                     heapq.heappush(heap, (alt, n))
+            if not heap:
+                return d
+        d._nodes = g.node_capacity
+        get = d.get
         while heap:
             dv, v = heapq.heappop(heap)
-            if dv > d[v]:
+            if dv > get(v):
                 continue
             for e in adjacent.get(v, ()):
                 we = w.get(e.id)
-                u = e.dst if forward else e.src
-                if we is None or u not in d:
+                if we is None:
                     continue
+                u = e.dst if forward else e.src
                 alt = dv + we
-                if alt < d[u]:
+                if alt < get(u, INF):
                     d[u] = alt
                     heapq.heappush(heap, (alt, u))
         return d
 
-    def _fill(self, t: str) -> dict[str, float]:
+    def _fill(self, t: str) -> _Fill:
         d = self._dist[t] = self._dijkstra(t, forward=False)
-        self._out[t] = {}
         return d
 
-    def to_target(self, t: str) -> dict[str, float]:
+    def to_target(self, t: str) -> _Fill:
+        """dist(v, t) for every node v, math.inf when unreachable."""
         d = self._dist.get(t)
         return self._fill(t) if d is None else d
 
-    def from_source(self, s: str) -> dict[str, float]:
+    def from_source(self, s: str) -> _Fill:
         """dist(s, v) for every node v, math.inf when unreachable."""
         d = self._from.get(s)
         if d is None:
@@ -155,14 +180,14 @@ class ShortestPathField:
     def out_links(self, v: str, t: str) -> list[Link]:
         out = self._out.get(t)
         if out is None:
-            self._fill(t)
-            out = self._out[t]
+            self.to_target(t)
+            out = self._out[t] = {}
         tight = out.get(v)
         if tight is None:
-            d, w = self._dist[t], self._w
-            dv = d.get(v, INF)
+            get, w = self._dist[t].get, self._w
+            dv = get(v, INF)
             tight = out[v] = [] if dv == INF else [
-                e for e in self._g.out_links[v] if e.id in w and w[e.id] + d[e.dst] == dv
+                e for e in self._g.out_links[v] if e.id in w and w[e.id] + get(e.dst, INF) == dv
             ]
         return tight
 
@@ -179,7 +204,11 @@ class ShortestPathField:
         tails of links into moved nodes can be relisted.  A moved node is
         itself the tail of a changed link or of a link into a moved node, so
         the two kinds of tail are the candidates; every other list ``prev``
-        built is kept."""
+        built is kept, and a target with no list built gets none.
+
+        Which nodes a root reaches depends on the links, not on their
+        positive weights, so a redone fill has the same keys as the one it
+        replaces and the moved set compares them key by key."""
         g, w = self._g, self._w
         changed = [e for e in g.links if w[e.id] != prev._w[e.id]]
         moves = _Moves()
@@ -194,12 +223,14 @@ class ShortestPathField:
                     fresh = new[root] = self._dijkstra(root, forward)
                     moved[root] = {v for v, dv in fresh.items() if dv != d[v]}
         tails = {e.src for e in changed}
-        for t, cache in prev._out.items():
+        for t in prev._dist:
             candidates = tails.union(x.src for v in moves.dist[t] for x in g.in_links[v])
             relisted = moves.relisted[t] = self._relisted(prev, t, self._dist[t], candidates)
-            # every list not relisted is the same in both fields, so with
-            # nothing relisted the two fields may share one cache
-            self._out[t] = {v: x for v, x in cache.items() if v not in relisted} if relisted else cache
+            cache = prev._out.get(t)
+            if cache is not None:
+                # every list not relisted is the same in both fields, so with
+                # nothing relisted the two fields may share one cache
+                self._out[t] = {v: x for v, x in cache.items() if v not in relisted} if relisted else cache
         return moves
 
     def _holds(self, root: str, d: dict[str, float], changed: list[Link], forward: bool) -> bool:
@@ -322,19 +353,20 @@ def select_waypoints(
     destination score every host; both are fetched only once some host
     passes the filter."""
     waypoints = [d.src]
-    to_dst: dict[str, float] | None = None
+    # the two runs' bound gets, the fast read of a fill
+    to_dst: Callable[[str, float], float] | None = None
     for fn in d.chain:
         prev = waypoints[-1]
-        from_prev: dict[str, float] | None = None
+        from_prev: Callable[[str, float], float] | None = None
         best: tuple[float, str] | None = None
         for v in g.hosts_of(fn):
             if allowed_hosts is not None and v not in allowed_hosts:
                 continue
             if from_prev is None:
-                from_prev = field.from_source(prev)
+                from_prev = field.from_source(prev).get
                 if to_dst is None:
-                    to_dst = field.to_target(d.dst)
-            cost = from_prev[v] + to_dst[v]
+                    to_dst = field.to_target(d.dst).get
+            cost = from_prev(v, INF) + to_dst(v, INF)
             if cost == INF:
                 continue
             key = (cost, v)

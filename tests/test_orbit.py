@@ -550,6 +550,18 @@ def test_share_fields_chain_and_answer_as_fresh_masked_fields():
     assert split and unjoined
 
 
+def test_share_fields_hold_no_unreached_node():
+    """After a chained stream, no fill of a cached share field, or of the
+    state's unmasked field, holds math.inf: fills keep only what they reach."""
+    for g, demands, part in chained_streams():
+        state = run_stream(g, demands, part)
+        fields = [field for field in state._subgraphs.values() if field is not None]
+        assert len(fields) > 1
+        for field in (state.field, *fields):
+            for fill in (*field._dist.values(), *field._from.values()):
+                assert math.inf not in fill.values()
+
+
 def test_share_fields_fill_from_scratch_only_for_group_links(monkeypatch):
     """Over a whole stream, only a group's own-links field (i, None, None)
     fills from scratch, so such fills number at most 2·κ·|V|; every other

@@ -132,7 +132,7 @@ def test_forward_distances_equal_reverse_distances(gw):
     field = shortest_path_field(g, w)
     for s in g.nodes:
         from_s = field.from_source(s)
-        assert set(from_s) == set(g.nodes)
+        assert set(from_s) == {v for v in g.nodes if field.dist(s, v) != INF}
         for v in g.nodes:
             assert from_s[v] == field.dist(s, v)
     for t in g.nodes:
@@ -160,17 +160,72 @@ def test_masked_field_matches_the_restricted_subgraph(gw, data):
     ref = ShortestPathField(sub, w)
     outside = [v for v in g.nodes if v not in sub.node_capacity]
     for t in sub.nodes:
-        to_t = masked.to_target(t)
-        assert {v: to_t[v] for v in sub.nodes} == ref.to_target(t)
+        to_t, ref_t = masked.to_target(t), ref.to_target(t)
+        assert {v: to_t[v] for v in sub.nodes} == {v: ref_t[v] for v in sub.nodes}
         assert all(to_t[v] == INF for v in outside)
         for a in sub.nodes:
             assert _reached(masked, a, t) == _reached(ref, a, t)
         for v in sub.nodes:
             assert masked.out_links(v, t) == ref.out_links(v, t)
     for s in sub.nodes:
-        from_s = masked.from_source(s)
-        assert {v: from_s[v] for v in sub.nodes} == ref.from_source(s)
+        from_s, ref_s = masked.from_source(s), ref.from_source(s)
+        assert {v: from_s[v] for v in sub.nodes} == {v: ref_s[v] for v in sub.nodes}
         assert all(from_s[v] == INF for v in outside)
+
+
+def test_unknown_node_raises_while_an_unreached_node_reads_inf(diamond):
+    """A fill holds only the nodes it reached.  A graph node it did not
+    reach is no key yet reads math.inf; a key that is no node raises
+    KeyError, also in a fill copied from a base's."""
+    w = unit_weights(diamond)
+    masked = ShortestPathField(diamond, w, {"e_sa", "e_at"})
+    # e_sb shortens s -> b, so extended's fill from s is a copy of masked's
+    extended = ShortestPathField(diamond, w, {"e_sa", "e_at", "e_sb"}, masked)
+    fills = (masked.to_target("t"), masked.from_source("s"), extended.from_source("s"))
+    assert [sorted(fill) for fill in fills] == [["a", "s", "t"], ["a", "s", "t"], ["a", "b", "s", "t"]]
+    for fill in fills:
+        with pytest.raises(KeyError):
+            fill["nowhere"]
+    assert fills[0]["b"] == fills[1]["b"] == masked.dist("b", "t") == INF
+    for field in (masked, extended):
+        with pytest.raises(KeyError):
+            field.dist("nowhere", "t")
+
+
+def reached_by_search(g, links, root, forward):
+    """The nodes root reaches (``forward``) or that reach root over the
+    allowed links, by a plain graph search that reads no weight."""
+    adjacent = g.out_links if forward else g.in_links
+    seen, stack = {root}, [root]
+    while stack:
+        for e in adjacent[stack.pop()]:
+            u = e.dst if forward else e.src
+            if (links is None or e.id in links) and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_fills_hold_exactly_the_nodes_they_reach(gw, data):
+    """Every fill of a masked field, and of a field over a base, whether the
+    base filled its roots before or after, has as keys exactly the nodes at
+    finite distance, so no fill holds math.inf."""
+    g, w = gw
+    b = data.draw(st.none() | st.sets(st.sampled_from(g.link_ids))) if g.links else None
+    in_b = sorted(g.link_ids if b is None else b)
+    a = data.draw(st.sets(st.sampled_from(in_b))) if in_b else set()
+    base = ShortestPathField(g, w, a)
+    for r in data.draw(st.sets(st.sampled_from(g.nodes))):
+        base.to_target(r), base.from_source(r)
+    field = ShortestPathField(g, w, b, base)
+    for r in data.draw(st.permutations(g.nodes)):
+        for f, links in ((field, b), (base, a)):
+            to_r, from_r = f.to_target(r), f.from_source(r)
+            assert set(to_r) == reached_by_search(g, links, r, False)
+            assert set(from_r) == reached_by_search(g, links, r, True)
+            assert INF not in to_r.values() and INF not in from_r.values()
 
 
 def test_base_must_be_a_weighted_subset_of_the_same_graph(diamond):
@@ -274,6 +329,7 @@ def test_carry_reports_what_a_full_scan_finds(gw, data):
     moves = field._carry(prev)
     old, new = shortest_path_field(g, w), shortest_path_field(g, w2)
     assert set(moves.dist) == set(moves.relisted) == targets
+    assert set(moves.from_source) == sources
     for t in targets:
         assert moves.dist[t] == {v for v in g.nodes if new.dist(v, t) != old.dist(v, t)}
         assert moves.relisted[t] == {
