@@ -55,7 +55,9 @@ class _Fill(dict):
     of the graph reads as math.inf through ``[]``; a key that is not a node
     raises KeyError.  Hot loops read through a bound ``get(v, INF)``
     instead: a dict subclass's ``[]`` and ``.get`` cost about half as much
-    again as a plain dict's, a bound ``get`` the same."""
+    again as a plain dict's, a bound ``get`` the same.  A fill that reached
+    every node is a plain dict, which answers every key the same way, is
+    faster to read and is not tracked by the garbage collector."""
 
     __slots__ = ("_nodes",)
     _nodes: dict[str, float]  # the graph's nodes, g.node_capacity
@@ -110,16 +112,17 @@ class ShortestPathField:
                 raise ValueError("base must be a field of g over a subset of these weighted links")
             self._added = [g.link_by_id[i] for i in self._w.keys() - base._w.keys()]
         # _dist[t][v] is the distance from v to t, for the nodes reaching t
-        self._dist: dict[str, _Fill] = {}
+        self._dist: dict[str, dict[str, float]] = {}
         # _out[t][v] is v's tight list toward t, for the nodes asked so far
         self._out: dict[str, dict[str, list[Link]]] = {}
         # _from[s][v] is the distance from s to v, for the nodes s reaches
-        self._from: dict[str, _Fill] = {}
+        self._from: dict[str, dict[str, float]] = {}
 
-    def _dijkstra(self, root: str, forward: bool) -> _Fill:
+    def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
         """Distances from root (forward, over out-links) or to root
         (reverse, over in-links) for every node reached, from scratch or
-        from ``base``'s fill of root."""
+        from ``base``'s fill of root; a _Fill unless every node was
+        reached."""
         g, w, base = self._g, self._w, self._base
         if root not in g.node_capacity:
             raise KeyError(root)
@@ -156,18 +159,18 @@ class ShortestPathField:
                 if alt < get(u, INF):
                     d[u] = alt
                     heapq.heappush(heap, (alt, u))
-        return d
+        return dict(d) if len(d) == len(g.node_capacity) else d
 
-    def _fill(self, t: str) -> _Fill:
+    def _fill(self, t: str) -> dict[str, float]:
         d = self._dist[t] = self._dijkstra(t, forward=False)
         return d
 
-    def to_target(self, t: str) -> _Fill:
+    def to_target(self, t: str) -> dict[str, float]:
         """dist(v, t) for every node v, math.inf when unreachable."""
         d = self._dist.get(t)
         return self._fill(t) if d is None else d
 
-    def from_source(self, s: str) -> _Fill:
+    def from_source(self, s: str) -> dict[str, float]:
         """dist(s, v) for every node v, math.inf when unreachable."""
         d = self._from.get(s)
         if d is None:

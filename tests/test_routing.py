@@ -176,13 +176,15 @@ def test_masked_field_matches_the_restricted_subgraph(gw, data):
 def test_unknown_node_raises_while_an_unreached_node_reads_inf(diamond):
     """A fill holds only the nodes it reached.  A graph node it did not
     reach is no key yet reads math.inf; a key that is no node raises
-    KeyError, also in a fill copied from a base's."""
+    KeyError, also in a fill copied from a base's and in a fill that
+    reached every node, which is a plain dict."""
     w = unit_weights(diamond)
     masked = ShortestPathField(diamond, w, {"e_sa", "e_at"})
     # e_sb shortens s -> b, so extended's fill from s is a copy of masked's
     extended = ShortestPathField(diamond, w, {"e_sa", "e_at", "e_sb"}, masked)
     fills = (masked.to_target("t"), masked.from_source("s"), extended.from_source("s"))
     assert [sorted(fill) for fill in fills] == [["a", "s", "t"], ["a", "s", "t"], ["a", "b", "s", "t"]]
+    assert [type(fill) is dict for fill in fills] == [False, False, True]
     for fill in fills:
         with pytest.raises(KeyError):
             fill["nowhere"]
