@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -53,11 +52,12 @@ def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
 class _Fill(dict):
     """One fill's distances, keyed by the nodes it reached.  Any other node
     of the graph reads as math.inf through ``[]``; a key that is not a node
-    raises KeyError.  Hot loops read through a bound ``get(v, INF)``
-    instead: a dict subclass's ``[]`` and ``.get`` cost about half as much
-    again as a plain dict's, a bound ``get`` the same.  A fill that reached
-    every node is a plain dict, which answers every key the same way, is
-    faster to read and is not tracked by the garbage collector."""
+    raises KeyError.  Hot loops read with ``get(v, INF)`` instead, bound
+    once where one fill is read many times: a dict subclass's ``[]`` and
+    ``.get`` cost about half as much again as a plain dict's, a bound
+    ``get`` the same.  A fill that reached every node is a plain dict,
+    which answers every key the same way, is faster to read and is not
+    tracked by the garbage collector."""
 
     __slots__ = ("_nodes",)
     _nodes: dict[str, float]  # the graph's nodes, g.node_capacity
@@ -90,8 +90,7 @@ class ShortestPathField:
     relaxes only the links this field adds and runs Dijkstra on from the
     nodes they improved (an edge-insertion update, Ramalingam & Reps 1996).
     When no added link improves a node the fill is ``base``'s dict itself:
-    no fill is ever changed once made.  Otherwise only base's reached
-    entries are copied.
+    no fill is ever changed once made.
     """
 
     def __init__(
@@ -356,20 +355,19 @@ def select_waypoints(
     destination score every host; both are fetched only once some host
     passes the filter."""
     waypoints = [d.src]
-    # the two runs' bound gets, the fast read of a fill
-    to_dst: Callable[[str, float], float] | None = None
+    to_dst: dict[str, float] | None = None
     for fn in d.chain:
         prev = waypoints[-1]
-        from_prev: Callable[[str, float], float] | None = None
+        from_prev: dict[str, float] | None = None
         best: tuple[float, str] | None = None
         for v in g.hosts_of(fn):
             if allowed_hosts is not None and v not in allowed_hosts:
                 continue
             if from_prev is None:
-                from_prev = field.from_source(prev).get
+                from_prev = field.from_source(prev)
                 if to_dst is None:
-                    to_dst = field.to_target(d.dst).get
-            cost = from_prev(v, INF) + to_dst(v, INF)
+                    to_dst = field.to_target(d.dst)
+            cost = from_prev.get(v, INF) + to_dst.get(v, INF)
             if cost == INF:
                 continue
             key = (cost, v)
