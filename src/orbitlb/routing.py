@@ -52,12 +52,12 @@ def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
 class _Fill(dict):
     """One fill's distances, keyed by the nodes it reached.  Any other node
     of the graph reads as math.inf through ``[]``; a key that is not a node
-    raises KeyError.  Hot loops read with ``get(v, INF)`` instead, bound
-    once where one fill is read many times: a dict subclass's ``[]`` and
-    ``.get`` cost about half as much again as a plain dict's, a bound
-    ``get`` the same.  A fill that reached every node is a plain dict,
-    which answers every key the same way, is faster to read and is not
-    tracked by the garbage collector."""
+    raises KeyError.  A dict subclass's ``[]`` and ``.get`` cost about half
+    as much again as a plain dict's, a bound ``get`` the same, so a loop
+    that reads one fill many times binds its ``get(v, INF)``, and
+    _dijkstra builds each fill as a plain dict.  A fill that reached every
+    node stays a plain dict: it answers every key the same way, reads
+    faster and is not tracked by the garbage collector."""
 
     __slots__ = ("_nodes",)
     _nodes: dict[str, float]  # the graph's nodes, g.node_capacity
@@ -127,27 +127,26 @@ class ShortestPathField:
             raise KeyError(root)
         adjacent = g.out_links if forward else g.in_links
         if base is None:
-            d = _Fill({root: 0})
+            d = {root: 0}
             heap = [(0, root)]
         else:
-            d = base.from_source(root) if forward else base.to_target(root)
-            get, heap = d.get, []
+            fill = base.from_source(root) if forward else base.to_target(root)
+            get, heap = fill.get, []
             for e in self._added:
                 n, f = (e.dst, e.src) if forward else (e.src, e.dst)
                 alt = get(f, INF) + w[e.id]
                 if alt < get(n, INF):
                     if not heap:
-                        d = _Fill(d)  # base's fill is shared; copy on the first change
+                        d = dict(fill)  # base's fill is shared; copy on the first change
                         get = d.get
                     d[n] = alt
                     heapq.heappush(heap, (alt, n))
             if not heap:
-                return d
-        d._nodes = g.node_capacity
-        get = d.get
+                return fill
+        # the loop runs on a plain dict, whose reads are the fastest
         while heap:
             dv, v = heapq.heappop(heap)
-            if dv > get(v):
+            if dv > d[v]:
                 continue
             for e in adjacent.get(v, ()):
                 we = w.get(e.id)
@@ -155,10 +154,14 @@ class ShortestPathField:
                     continue
                 u = e.dst if forward else e.src
                 alt = dv + we
-                if alt < get(u, INF):
+                if u not in d or alt < d[u]:
                     d[u] = alt
                     heapq.heappush(heap, (alt, u))
-        return dict(d) if len(d) == len(g.node_capacity) else d
+        if len(d) == len(g.node_capacity):
+            return d
+        fill = _Fill(d)
+        fill._nodes = g.node_capacity
+        return fill
 
     def _fill(self, t: str) -> dict[str, float]:
         d = self._dist[t] = self._dijkstra(t, forward=False)
@@ -367,7 +370,7 @@ def select_waypoints(
                 from_prev = field.from_source(prev)
                 if to_dst is None:
                     to_dst = field.to_target(d.dst)
-            cost = from_prev.get(v, INF) + to_dst.get(v, INF)
+            cost = from_prev[v] + to_dst[v]
             if cost == INF:
                 continue
             key = (cost, v)

@@ -213,7 +213,8 @@ def reached_by_search(g, links, root, forward):
 def test_fills_hold_exactly_the_nodes_they_reach(gw, data):
     """Every fill of a masked field, and of a field over a base, whether the
     base filled its roots before or after, has as keys exactly the nodes at
-    finite distance, so no fill holds math.inf."""
+    finite distance, so no fill holds math.inf; it is a plain dict exactly
+    when it reached every node."""
     g, w = gw
     b = data.draw(st.none() | st.sets(st.sampled_from(g.link_ids))) if g.links else None
     in_b = sorted(g.link_ids if b is None else b)
@@ -228,6 +229,8 @@ def test_fills_hold_exactly_the_nodes_they_reach(gw, data):
             assert set(to_r) == reached_by_search(g, links, r, False)
             assert set(from_r) == reached_by_search(g, links, r, True)
             assert INF not in to_r.values() and INF not in from_r.values()
+            for fill in (to_r, from_r):
+                assert (type(fill) is dict) == (len(fill) == len(g.nodes))
 
 
 def test_base_must_be_a_weighted_subset_of_the_same_graph(diamond):
