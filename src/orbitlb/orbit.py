@@ -90,9 +90,10 @@ class OrbitState:
         self.trace: list[tuple[int, float, int]] = []
         self.events: list[EventRecord] = []
         self.accepted_count: int = 0
-        # share fields per (group, source, destination), member endpoints as
-        # None; each extends the cached field of one ramp fewer (see
-        # _chained_field), which it holds as its base
+        # share fields with at most one ramp, per (group, source,
+        # destination) with member endpoints as None: at most
+        # kappa*(1 + 2|V|); each extends the cached field of one ramp fewer
+        # (see _chained_field), which it holds as its base
         self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
         self._ramps: dict[tuple[int, str, bool], frozenset[str] | None] = {}
 
@@ -135,11 +136,12 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
     """Field for group i's share of a demand: the parent graph masked to
     the group's internal links plus entry/exit ramps for the demand's
     endpoints (see _ramp).  None when the group is unreachable from the
-    source or cannot reach the destination.  Fields are cached per (group,
+    source or cannot reach the destination.  Fields are keyed per (group,
     source, destination) with a member endpoint as None: weights are >= 1,
     so a member is its own unique closest member and adds no ramp.  Each
     field extends the field of one ramp fewer and starts its fills from
-    that field's (see _chained_field)."""
+    that field's; only fields with at most one ramp are cached (see
+    _chained_field)."""
     members = state.part.parts[i].nodes
     return _chained_field(
         state, i, None if d.src in members else d.src, None if d.dst in members else d.dst
@@ -149,24 +151,29 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
 def _chained_field(
     state: OrbitState, i: int, src: str | None, dst: str | None
 ) -> ShortestPathField | None:
-    """The cached share field of key (i, src, dst), built as a chain whose
-    fills start from the field it extends: (i, None, None) holds the group's
-    links alone; (i, None, dst) adds dst's exit ramp to it, and (i, src,
-    dst) adds src's entry ramp to (i, None, dst), so it is None exactly when
-    either ramp is.  Building (i, src, dst) also caches (i, None, dst)."""
+    """The share field of key (i, src, dst), built as a chain whose fills
+    start from the field it extends: (i, None, None) holds the group's links
+    alone; (i, None, dst) adds dst's exit ramp to it, and (i, src, dst) adds
+    src's entry ramp to (i, None, dst), so it is None exactly when either
+    ramp is.  Fields with at most one ramp are cached, at most
+    kappa*(1 + 2|V|) of them; a field with both ramps is built on its
+    cached base for each call and not kept.  Building (i, src, dst) also
+    caches (i, None, dst)."""
     key = (i, src, dst)
-    if key not in state._subgraphs:
-        if src is None and dst is None:
-            # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
-            field = ShortestPathField(state.g, state.w, set(state.part.parts[i].link_ids))
-        else:
-            base = _chained_field(state, i, None, None if src is None else dst)
-            ramp = _ramp(state, i, dst if src is None else src, src is not None)
-            field = None
-            if base is not None and ramp is not None:
-                field = ShortestPathField(state.g, state.w, ramp.union(base._w), base)
+    if key in state._subgraphs:
+        return state._subgraphs[key]
+    if src is None and dst is None:
+        # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
+        field = ShortestPathField(state.g, state.w, set(state.part.parts[i].link_ids))
+    else:
+        base = _chained_field(state, i, None, None if src is None else dst)
+        ramp = _ramp(state, i, dst if src is None else src, src is not None)
+        field = None
+        if base is not None and ramp is not None:
+            field = ShortestPathField(state.g, state.w, ramp.union(base._w), base)
+    if src is None or dst is None:
         state._subgraphs[key] = field
-    return state._subgraphs[key]
+    return field
 
 
 def _ramp(state: OrbitState, i: int, v: str, entry: bool) -> frozenset[str] | None:

@@ -466,13 +466,19 @@ class UtilizationReport:
             node_usage[v] += val
 
     def within_capacity(self) -> bool:
-        """Whether the whole load would fit an empty ledger of the graph."""
-        return UtilizationReport(self._g).fits(self.chi, self.node_usage)
+        """Whether the whole load would fit an empty ledger of the graph:
+        ``fits``' rule with no load before, read off this ledger's limits."""
+        limit = self._link_limit
+        return (all(val <= limit[eid] for eid, val in self.chi.items())
+                and not self.over_capacity_nodes(self._g))
 
     def over_capacity_nodes(self, g: NfviGraph) -> list[str]:
-        """Nodes whose whole usage would not fit an empty ledger of g."""
-        empty = UtilizationReport(g)
-        return [v for v, used in self.node_usage.items() if not empty.fits({}, {v: used})]
+        """Nodes whose whole usage would not fit an empty ledger of g, which
+        must be this ledger's graph."""
+        if g is not self._g:
+            raise ValueError("g must be the graph this ledger was built for")
+        cap, slack = g.node_capacity, self._node_slack
+        return [v for v, used in self.node_usage.items() if not used <= cap[v] + slack[v]]
 
 
 def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:

@@ -588,6 +588,90 @@ def test_share_fields_fill_from_scratch_only_for_group_links(monkeypatch):
     assert based > 1000
 
 
+def assert_share_cache_bounded(state):
+    """The share-field cache keeps no field with both ramps, so it holds at
+    most κ·(1 + 2·|V|) fields however long the stream."""
+    assert not [key for key in state._subgraphs if None not in key[1:]]
+    assert len(state._subgraphs) <= state.part.kappa * (1 + 2 * len(state.g.node_capacity))
+
+
+def long_chained_stream(seed, n=48, count=1000):
+    """A seeded graph of n nodes with roomy compute and count chained
+    demands between random endpoints."""
+    rng = random.Random(seed)
+    base = random_connected_graph(
+        rng, max_nodes=n, min_nodes=n, capacity_choices=(1e3, 2e3, 4e3)
+    )
+    fns = ("fw", "nat", "dpi")
+    hosts = [(v, f) for v in sorted(base.nodes) for f in fns if rng.random() < 0.4]
+    g = NfviGraph({v: 1e4 for v in base.nodes}, base.links, fns, hosts, {h: 0.1 for h in hosts})
+    names = sorted(g.nodes)
+    demands = [
+        ServiceDemand(k, *rng.sample(names, 2), float(rng.randint(1, 4)),
+                      tuple(rng.sample(fns, rng.randint(0, 2))))
+        for k in range(count)
+    ]
+    return g, demands
+
+
+def test_share_field_cache_is_bounded_by_the_instance(monkeypatch):
+    """After every chained stream, and after a 1,000-demand stream on 48
+    nodes that asks for more two-ramp fields than the bound allows, the
+    share-field cache keeps only fields with at most one ramp."""
+    for g, demands, part in chained_streams():
+        assert_share_cache_bounded(run_stream(g, demands, part))
+    asked = set()
+    share_field = orbit._share_field
+
+    def recording(state, i, d):
+        members = state.part.parts[i].nodes
+        if d.src not in members and d.dst not in members:
+            asked.add((i, d.src, d.dst))
+        return share_field(state, i, d)
+
+    monkeypatch.setattr(orbit, "_share_field", recording)
+    g, demands = long_chained_stream(51)
+    state = run_stream(g, demands, partition(g, 4, 1.5))
+    assert_share_cache_bounded(state)
+    assert len(asked) > 4 * (1 + 2 * len(g.node_capacity))
+    assert state.accepted_count > 500
+
+
+def test_two_ramp_share_fields_are_built_on_their_cached_base():
+    """After a chained stream, a share field whose demand has both endpoints
+    outside the group is built anew on each call and not cached: its base is
+    the cached (i, None, dst) field, its links are that base's plus the
+    cached entry ramp, and it answers every fill and tight list as a fresh
+    field masked to those links.  A None field is None too when a state
+    with empty caches builds it."""
+    built = unjoined = 0
+    for g, demands, part in chained_streams():
+        state = run_stream(g, demands, part)
+        seen = set()
+        for d, p in itertools.product(demands, part.parts):
+            i = p.index
+            if d.src in p.nodes or d.dst in p.nodes or (i, d.src, d.dst) in seen:
+                continue
+            seen.add((i, d.src, d.dst))
+            field = orbit._share_field(state, i, d)
+            assert (i, d.src, d.dst) not in state._subgraphs
+            if field is None:
+                assert orbit._share_field(OrbitState(g, part, state.w), i, d) is None
+                unjoined += 1
+                continue
+            assert orbit._share_field(state, i, d) is not field
+            base = state._subgraphs[(i, None, d.dst)]
+            assert field._base is base
+            assert set(field._w) == set(base._w) | state._ramps[(i, d.src, True)]
+            fresh = ShortestPathField(g, state.w, set(field._w))
+            for r in g.nodes:
+                assert field.to_target(r) == fresh.to_target(r)
+                assert field.from_source(r) == fresh.from_source(r)
+                assert all(field.out_links(v, r) == fresh.out_links(v, r) for v in g.nodes)
+            built += 1
+    assert built > 100 and unjoined
+
+
 def ramp_from_scratch(g, w, v, members, entry):
     """Links on some shortest path from v to its closest member (entry) or
     from the closest member to v, ties by id, read off distance sums of a

@@ -22,6 +22,7 @@ from orbitlb.routing import (
     RATE_TOL,
     FlowAllocation,
     ShortestPathField,
+    UtilizationReport,
     _alloc_node_usage,
     _reached,
     _split_segment,
@@ -802,6 +803,43 @@ def test_stream_orbit_and_oracle_agree_at_the_slack_boundary(c):
         events = run_stream(g, DemandStream(tuple(demands)), one_group).events
         assert (events[0].decision == "accepted") == fits
         assert exact_oracle(g, demands, w_max=1).log[0].feasible == fits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_whole_load_checks_match_fits_on_an_empty_ledger(data):
+    """within_capacity and over_capacity_nodes judge a ledger's whole load
+    as fits does on an empty ledger of the same graph, on random loads that
+    include each limit c + capacity_slack(c) and a few ulps either side."""
+    n = data.draw(st.integers(1, 5))
+    names = [f"v{k}" for k in range(n)]
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    caps = (0.5, 1.0, 3.0, 1e3, 1e8)
+    links = tuple(
+        Link(f"e{k}", names[a], names[b], data.draw(st.sampled_from(caps)))
+        for k, (a, b) in enumerate(arcs) if a != b
+    )
+    g = NfviGraph({v: data.draw(st.sampled_from((0.0, *caps))) for v in names}, links)
+
+    def load(c):
+        limit = c + capacity_slack(c)
+        if data.draw(st.booleans()):
+            return data.draw(st.floats(0.0, 2.0 * limit))
+        steps = data.draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            limit = math.nextafter(limit, INF if steps > 0 else -INF)
+        return limit
+
+    report = UtilizationReport(g)
+    report.add({e.id: load(e.capacity) for e in links},
+               {v: load(c) for v, c in g.node_capacity.items()})
+    empty = UtilizationReport(g)
+    assert report.within_capacity() == empty.fits(report.chi, report.node_usage)
+    assert report.over_capacity_nodes(g) == [
+        v for v, used in report.node_usage.items() if not empty.fits({}, {v: used})
+    ]
+    with pytest.raises(ValueError):
+        report.over_capacity_nodes(NfviGraph(dict(g.node_capacity), links))
 
 
 def test_route_all_ignores_capacity(diamond):
