@@ -425,8 +425,10 @@ class UtilizationReport:
     ``fits`` and ``add`` hold the one capacity rule.  A link takes a load
     while its total stays at most c + capacity_slack(c); a node takes a
     usage no greater than its residual compute plus capacity_slack of its
-    capacity.  Loads only grow, so ``add`` keeps ``r`` as a running maximum,
-    equal to a rescan of every link."""
+    capacity.  ``within_capacity`` and ``over_capacity_nodes`` apply the
+    same comparisons to the whole load as if the ledger were empty.  Loads
+    only grow, so ``add`` keeps ``r`` as a running maximum, equal to a
+    rescan of every link."""
 
     def __init__(self, g: NfviGraph) -> None:
         self._g = g

@@ -595,12 +595,12 @@ def assert_share_cache_bounded(state):
     assert len(state._subgraphs) <= state.part.kappa * (1 + 2 * len(state.g.node_capacity))
 
 
-def long_chained_stream(seed, n=48, count=1000):
-    """A seeded graph of n nodes with roomy compute and count chained
-    demands between random endpoints."""
+def long_chained_stream(seed):
+    """A seeded graph of 48 nodes with roomy compute and links, and 1,000
+    chained demands between random endpoints."""
     rng = random.Random(seed)
     base = random_connected_graph(
-        rng, max_nodes=n, min_nodes=n, capacity_choices=(1e3, 2e3, 4e3)
+        rng, max_nodes=48, min_nodes=48, capacity_choices=(1e3, 2e3, 4e3)
     )
     fns = ("fw", "nat", "dpi")
     hosts = [(v, f) for v in sorted(base.nodes) for f in fns if rng.random() < 0.4]
@@ -609,7 +609,7 @@ def long_chained_stream(seed, n=48, count=1000):
     demands = [
         ServiceDemand(k, *rng.sample(names, 2), float(rng.randint(1, 4)),
                       tuple(rng.sample(fns, rng.randint(0, 2))))
-        for k in range(count)
+        for k in range(1000)
     ]
     return g, demands
 
