@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .errors import RoutingError, ValidationError
 from .fileio import format_number, write_text
 from .model import NfviGraph, ServiceDemand, validate, validate_demands
-from .routing import FlowAllocation, max_link_utilization, shortest_path_field
+from .routing import INF, FlowAllocation, max_link_utilization, shortest_path_field
 
 DELTA = 1e-4
 CHECK_TOL = 1e-9
@@ -554,7 +554,7 @@ def candidate_from_routing(
             if v == t:
                 continue
             dist = field.dist(v, t)
-            if dist == float("inf"):
+            if dist == INF:
                 raise RoutingError(
                     f"distance from {v} to {t} is infinite; candidate needs all "
                     "destinations reachable"

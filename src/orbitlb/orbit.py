@@ -25,6 +25,7 @@ from .fileio import csv_text, format_number
 from .model import NfviGraph, ServiceDemand
 from .partition import Partitioning
 from .routing import (
+    INF,
     ShortestPathField,
     UtilizationReport,
     _alloc_node_usage,
@@ -34,7 +35,6 @@ from .routing import (
     unit_weights,
 )
 
-INF = math.inf
 GUARANTEE_TOL = 1e-9
 
 EVENT_HEADER = "demand_id,decision,reason,sum_z,P_o,D_o,r_current,acceptance_ratio"
@@ -93,9 +93,9 @@ class OrbitState:
         # share fields with at most one ramp, per (group, source,
         # destination) with member endpoints as None: at most
         # kappa*(1 + 2|V|); each extends the cached field of one ramp fewer
-        # (see _chained_field), which it holds as its base
+        # (see _chained_field), which it holds as its base.  A one-ramp
+        # field, or its None, is the one record of its ramp.
         self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
-        self._ramps: dict[tuple[int, str, bool], frozenset[str] | None] = {}
 
     def max_utilization(self) -> float:
         """max(chi/capacity) rescanned over every link.  It equals loads.r,
@@ -153,46 +153,43 @@ def _chained_field(
 ) -> ShortestPathField | None:
     """The share field of key (i, src, dst), built as a chain whose fills
     start from the field it extends: (i, None, None) holds the group's links
-    alone; (i, None, dst) adds dst's exit ramp to it, and (i, src, dst) adds
-    src's entry ramp to (i, None, dst), so it is None exactly when either
-    ramp is.  Fields with at most one ramp are cached, at most
-    kappa*(1 + 2|V|) of them; a field with both ramps is built on its
-    cached base for each call and not kept.  Building (i, src, dst) also
-    caches (i, None, dst)."""
+    alone; (i, src, None) and (i, None, dst) add one ramp to it (see
+    _ramp), and (i, src, dst) extends (i, None, dst) by the links of (i,
+    src, None), so it is None exactly when either one-ramp field is.
+    Fields with at most one ramp are cached, at most kappa*(1 + 2|V|) of
+    them, so each ramp is computed once per run; a field with both ramps is
+    built on its cached base for each call and not kept."""
     key = (i, src, dst)
     if key in state._subgraphs:
         return state._subgraphs[key]
+    if src is not None and dst is not None:
+        base, entry = _chained_field(state, i, None, dst), _chained_field(state, i, src, None)
+        if base is None or entry is None:
+            return None
+        return ShortestPathField(state.g, state.w, entry._w.keys() | base._w.keys(), base)
     if src is None and dst is None:
         # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
         field = ShortestPathField(state.g, state.w, set(state.part.parts[i].link_ids))
     else:
-        base = _chained_field(state, i, None, None if src is None else dst)
+        field, base = None, _chained_field(state, i, None, None)
         ramp = _ramp(state, i, dst if src is None else src, src is not None)
-        field = None
-        if base is not None and ramp is not None:
+        if ramp is not None:
             field = ShortestPathField(state.g, state.w, ramp.union(base._w), base)
-    if src is None or dst is None:
-        state._subgraphs[key] = field
+    state._subgraphs[key] = field
     return field
 
 
-def _ramp(state: OrbitState, i: int, v: str, entry: bool) -> frozenset[str] | None:
+def _ramp(state: OrbitState, i: int, v: str, entry: bool) -> set[str] | None:
     """Link ids on every shortest path from node v to group i's closest
     member (``entry``) or from the group's closest member to v, ties by
-    id; None when no member is reachable that way.  Cached per (group,
-    endpoint, direction)."""
-    key = (i, v, entry)
-    if key not in state._ramps:
-        field = state.field
-        dist = field.from_source(v) if entry else field.to_target(v)
-        members = state.part.parts[i].nodes
-        nearest = min(((dist[u], u) for u in members if dist[u] != INF), default=None)
-        ramp = None
-        if nearest is not None:
-            a, b = (v, nearest[1]) if entry else (nearest[1], v)
-            ramp = frozenset(e.id for u in _reached(field, a, b) for e in field.out_links(u, b))
-        state._ramps[key] = ramp
-    return state._ramps[key]
+    id; None when no member is reachable that way."""
+    field = state.field
+    dist = field.from_source(v) if entry else field.to_target(v)
+    nearest = min(((dist[u], u) for u in state.part.parts[i].nodes if u in dist), default=None)
+    if nearest is None:
+        return None
+    a, b = (v, nearest[1]) if entry else (nearest[1], v)
+    return {e.id for u in _reached(field, a, b) for e in field.out_links(u, b)}
 
 
 def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:

@@ -49,37 +49,19 @@ def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
         raise ValidationError(problems)
 
 
-class _Fill(dict):
-    """One fill's distances, keyed by the nodes it reached.  Any other node
-    of the graph reads as math.inf through ``[]``; a key that is not a node
-    raises KeyError.  A dict subclass's ``[]`` and ``.get`` cost about half
-    as much again as a plain dict's, a bound ``get`` the same, so a loop
-    that reads one fill many times binds its ``get(v, INF)``, and
-    _dijkstra builds each fill as a plain dict.  A fill that reached every
-    node stays a plain dict: it answers every key the same way, reads
-    faster and is not tracked by the garbage collector."""
-
-    __slots__ = ("_nodes",)
-    _nodes: dict[str, float]  # the graph's nodes, g.node_capacity
-
-    def __missing__(self, v: str) -> float:
-        if v in self._nodes:
-            return INF
-        raise KeyError(v)
-
-
 class ShortestPathField:
     """Shortest-path state of one graph under one weight vector.
 
     Per target t, filled on first use: dist(v, t) for every node v that
     reaches t (one reverse Dijkstra, exact since weights are positive).  A
-    fill is sparse: it holds only the nodes it reached, and any other node
-    of the graph reads as math.inf (see _Fill).  A node's tight out-links
-    toward t, those on some shortest path to t, are listed on first ask, in
-    declaration order, and kept; a target's dict of lists is made with its
-    first list.  Per source s, also on first use: dist(s, v) for every node
-    v that s reaches (one forward Dijkstra).  The weights are copied, so
-    later changes to the caller's dict do not alter the answers.
+    fill is a plain dict keyed by exactly the nodes it reached; ``dist``
+    reads math.inf for any other node of the graph, and a reader of the
+    fill itself tests membership.  A node's tight out-links toward t, those
+    on some shortest path to t, are listed on first ask, in declaration
+    order, and kept; a target's dict of lists is made with its first list.
+    Per source s, also on first use: dist(s, v) for every node v that s
+    reaches (one forward Dijkstra).  The weights are copied, so later
+    changes to the caller's dict do not alter the answers.
 
     ``links``, when given, masks the graph to those link ids: answers equal
     those over ``g.restricted(links)`` on its nodes; other nodes are unreachable.
@@ -119,9 +101,8 @@ class ShortestPathField:
 
     def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
         """Distances from root (forward, over out-links) or to root
-        (reverse, over in-links) for every node reached, from scratch or
-        from ``base``'s fill of root; a _Fill unless every node was
-        reached."""
+        (reverse, over in-links), keyed by exactly the nodes reached, from
+        scratch or from ``base``'s fill of root."""
         g, w, base = self._g, self._w, self._base
         if root not in g.node_capacity:
             raise KeyError(root)
@@ -143,7 +124,6 @@ class ShortestPathField:
                     heapq.heappush(heap, (alt, n))
             if not heap:
                 return fill
-        # the loop runs on a plain dict, whose reads are the fastest
         while heap:
             dv, v = heapq.heappop(heap)
             if dv > d[v]:
@@ -157,30 +137,33 @@ class ShortestPathField:
                 if u not in d or alt < d[u]:
                     d[u] = alt
                     heapq.heappush(heap, (alt, u))
-        if len(d) == len(g.node_capacity):
-            return d
-        fill = _Fill(d)
-        fill._nodes = g.node_capacity
-        return fill
+        return d
 
     def _fill(self, t: str) -> dict[str, float]:
         d = self._dist[t] = self._dijkstra(t, forward=False)
         return d
 
     def to_target(self, t: str) -> dict[str, float]:
-        """dist(v, t) for every node v, math.inf when unreachable."""
+        """dist(v, t) for every node v that reaches t."""
         d = self._dist.get(t)
         return self._fill(t) if d is None else d
 
     def from_source(self, s: str) -> dict[str, float]:
-        """dist(s, v) for every node v, math.inf when unreachable."""
+        """dist(s, v) for every node v that s reaches."""
         d = self._from.get(s)
         if d is None:
             d = self._from[s] = self._dijkstra(s, forward=True)
         return d
 
     def dist(self, v: str, t: str) -> float:
-        return self.to_target(t)[v]
+        """dist(v, t), math.inf when v does not reach t; KeyError when v or
+        t is not a node."""
+        d = self.to_target(t)
+        if v in d:
+            return d[v]
+        if v in self._g.node_capacity:
+            return INF
+        raise KeyError(v)
 
     def out_links(self, v: str, t: str) -> list[Link]:
         out = self._out.get(t)
@@ -248,18 +231,20 @@ class ShortestPathField:
         links satisfy it already.  When every near end but root at finite d
         keeps a tight link (an out-link toward a target, an in-link from a
         source), d is also an upper bound, since only changed links can lose
-        tightness, so following tight links reaches root in exactly d."""
-        g, w = self._g, self._w
+        tightness, so following tight links reaches root in exactly d.  A
+        node d lacks reads math.inf."""
+        g, w, get = self._g, self._w, d.get
         adjacent = g.in_links if forward else g.out_links
         near: set[str] = set()
         for e in changed:
             n, f = (e.dst, e.src) if forward else (e.src, e.dst)
-            if w[e.id] + d[f] < d[n]:
+            dn = get(n, INF)
+            if w[e.id] + get(f, INF) < dn:
                 return False
-            if n != root and d[n] != INF:
+            if n != root and dn != INF:
                 near.add(n)
         return all(
-            any(w[x.id] + d[x.src if forward else x.dst] == d[n] for x in adjacent[n])
+            any(w[x.id] + get(x.src if forward else x.dst, INF) == d[n] for x in adjacent[n])
             for n in near
         )
 
@@ -268,16 +253,18 @@ class ShortestPathField:
     ) -> set[str]:
         """The nodes among ``nodes`` whose tight lists toward t differ
         between prev and this field, both unmasked, when d are this field's
-        distances to t."""
+        distances to t.  Both fills have the same keys (see _carry), and a
+        node that does not reach t has no tight link in either."""
         out_links = self._g.out_links
         w, pd, pw = self._w, prev._dist[t], prev._w
         relisted = set()
         for v in nodes:
+            if v not in d:
+                continue
             dv, pv = d[v], pd[v]
             for x in out_links[v]:
-                if (dv != INF and w[x.id] + d[x.dst] == dv) != (
-                    pv != INF and pw[x.id] + pd[x.dst] == pv
-                ):
+                u = x.dst
+                if u in d and (w[x.id] + d[u] == dv) != (pw[x.id] + pd[u] == pv):
                     relisted.add(v)
                     break
         return relisted
@@ -299,12 +286,9 @@ def shortest_path_field(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
     return ShortestPathField(g, w)
 
 
-def ecmp_dag(
-    g: NfviGraph, w: dict[str, int], field: ShortestPathField | None = None
-) -> ShortestPathField:
-    """The field holding the shortest-path DAGs: ``field`` when given, else a
-    new one for (g, w)."""
-    return shortest_path_field(g, w) if field is None else field
+def ecmp_dag(g: NfviGraph, w: dict[str, int]) -> ShortestPathField:
+    """A new field for (g, w), which holds its shortest-path DAGs."""
+    return shortest_path_field(g, w)
 
 
 @dataclass
@@ -370,7 +354,7 @@ def select_waypoints(
                 from_prev = field.from_source(prev)
                 if to_dst is None:
                     to_dst = field.to_target(d.dst)
-            cost = from_prev[v] + to_dst[v]
+            cost = from_prev.get(v, INF) + to_dst.get(v, INF)
             if cost == INF:
                 continue
             key = (cost, v)
@@ -615,9 +599,9 @@ def _route(g: NfviGraph, field: ShortestPathField, d: ServiceDemand) -> _Routed 
 
 
 def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
-    """a and every node it reaches over tight links toward b, except b,
-    sorted by (-dist(v, b), v) so each comes before the heads of its tight
-    out-links: the walk _split_segment takes."""
+    """a, which must reach b, and every node it reaches over tight links
+    toward b, except b, sorted by (-dist(v, b), v) so each comes before the
+    heads of its tight out-links: the walk _split_segment takes."""
     dist = field.to_target(b)
     seen = {a}
     stack = [a]
@@ -662,7 +646,9 @@ def _still_holds(g: NfviGraph, field: ShortestPathField, moves: _Moves, rec: _Ro
             # hosts whose scores did not move still rank after the host
             from_prev, to_dst_dist = field.from_source(wp[k]), field.to_target(d.dst)
             key = (from_prev[host] + to_dst_dist[host], host)
-            if any((from_prev[v] + to_dst_dist[v], v) < key for v in moved):
+            if any(
+                (from_prev.get(v, INF) + to_dst_dist.get(v, INF), v) < key for v in moved
+            ):
                 return False
     for b, nodes in rec.alloc.segments:
         if not moves.relisted[b].isdisjoint(nodes):

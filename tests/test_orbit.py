@@ -537,7 +537,10 @@ def test_share_fields_chain_and_answer_as_fresh_masked_fields():
                 continue
             base = state._subgraphs[base_key]
             i, src, dst = key
-            ramp = state._ramps[(i, src, True) if src is not None else (i, dst, False)]
+            members = part.parts[i].nodes
+            ramp = ramp_from_scratch(
+                g, state.w, dst if src is None else src, members, src is not None
+            )
             if base is None or ramp is None:
                 assert field is None
                 continue
@@ -640,8 +643,8 @@ def test_share_field_cache_is_bounded_by_the_instance(monkeypatch):
 def test_two_ramp_share_fields_are_built_on_their_cached_base():
     """After a chained stream, a share field whose demand has both endpoints
     outside the group is built anew on each call and not cached: its base is
-    the cached (i, None, dst) field, its links are that base's plus the
-    cached entry ramp, and it answers every fill and tight list as a fresh
+    the cached (i, None, dst) field, its links are that base's plus those of
+    the cached entry field (i, src, None), and it answers every fill and tight list as a fresh
     field masked to those links.  A None field is None too when a state
     with empty caches builds it."""
     built = unjoined = 0
@@ -662,7 +665,7 @@ def test_two_ramp_share_fields_are_built_on_their_cached_base():
             assert orbit._share_field(state, i, d) is not field
             base = state._subgraphs[(i, None, d.dst)]
             assert field._base is base
-            assert set(field._w) == set(base._w) | state._ramps[(i, d.src, True)]
+            assert set(field._w) == set(base._w) | set(state._subgraphs[(i, d.src, None)]._w)
             fresh = ShortestPathField(g, state.w, set(field._w))
             for r in g.nodes:
                 assert field.to_target(r) == fresh.to_target(r)
@@ -693,8 +696,8 @@ def ramp_from_scratch(g, w, v, members, entry):
 def test_share_field_masks_the_group_links_and_both_ramps(data):
     """Over possibly disconnected graphs with groups of two or more members,
     each share field allows exactly the group's links and both ramps as
-    computed from scratch, or is None when a ramp does not exist; the ramp
-    cache holds at most one entry per group, endpoint and direction."""
+    computed from scratch, or is None when a ramp does not exist; the
+    share-field cache stays within its bound."""
     n = data.draw(st.integers(2, 8))
     names = [f"v{i}" for i in range(n)]
     arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
@@ -720,7 +723,7 @@ def test_share_field_masks_the_group_links_and_both_ramps(data):
             assert field is None
         else:
             assert set(field._w) == set(parts[i].link_ids).union(*ramps)
-    assert len(state._ramps) <= 2 * kappa * n
+    assert_share_cache_bounded(state)
 
 
 HASH_SEED_PROBE = """
