@@ -258,8 +258,7 @@ def _run_export(args: argparse.Namespace) -> int:
     path = os.path.join(args.out, "model.lp")
     counts = write_lp(model, path)
     summary = " ".join(f"{fam}:{counts[fam]}" for fam in sorted(counts, key=lambda f: int(f)))
-    n_vars = sum(1 for _ in model.iter_variables())
-    print(f"wrote {path} ({n_vars} variables; constraints {summary})")
+    print(f"wrote {path} ({model.variable_count} variables; constraints {summary})")
     return 0
 
 

@@ -18,17 +18,18 @@ Strict inequalities in families 9-10 are relaxed to >= DELTA * volume, which
 LP text can express; the relaxation is recorded in the export header.
 
 ``MilpModel.iter_blocks`` is the one description of the rows: blocks of
-template rows and the fills they repeat over, per link and demand (c6, c7)
-or per link over every (demand, flow) pair (c11-c13).  ``iter_rows`` expands
-them for the checker, ``family_counts`` counts them, and the LP writer makes
-each template's text once and puts each fill into it with one ``%``.
+template rows and the fills they repeat over, per demand (c1-c3, c6, c7,
+c9, c10) or per link over every (demand, flow) pair (c11-c13).
+``iter_rows`` expands them for the checker, ``family_counts`` counts them,
+and the LP writer makes each template's text once and puts each fill into
+it with one ``str.replace`` per placeholder.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import RoutingError, ValidationError
@@ -50,9 +51,10 @@ class Row(NamedTuple):
 
 
 class Block(NamedTuple):
-    """Template rows repeated over fills: a fill goes into each row's name
-    and variable names with ``%``.  ``key`` names the templates where
-    other blocks share them, else it is None."""
+    """Template rows repeated over fills: a fill maps each placeholder to
+    the text that replaces it in every row's name and variable names.
+    ``key`` names the templates where other blocks share them, else it is
+    None."""
 
     key: tuple | None
     rows: tuple[Row, ...]
@@ -61,6 +63,19 @@ class Block(NamedTuple):
 
 # the one fill of a block whose rows have no placeholders
 _ONCE: tuple[dict[str, str], ...] = ({},)
+
+# placeholders: the demand id, its destination (c6), and in c11-c13
+# <demand>_<flow> (names) and <flow>_<demand> (variables).  No id
+# ([A-Za-z0-9_]+), number or sense holds one, and each is one character:
+# str.replace's fast path.
+_D, _T, _N, _V = "@", "&", "#", "$"
+
+
+def _put(text: str, fill: dict[str, str]) -> str:
+    """``text`` with each placeholder of ``fill`` replaced by its text."""
+    for placeholder, value in fill.items():
+        text = text.replace(placeholder, value)
+    return text
 
 
 def _wvar(eid: str) -> str:
@@ -83,7 +98,7 @@ def _xvar(eid: str, p: int, d: int) -> str:
     return f"x_{eid}_{p}_{d}"
 
 
-def _bvar(eid: str, p: int, d: int) -> str:
+def _bvar(eid: str, p: int, d: int | str) -> str:
     return f"b_{eid}_{p}_{d}"
 
 
@@ -98,12 +113,16 @@ class MilpModel:
     flows_per_demand: int
     targets: tuple[str, ...]
 
-    def iter_variables(self) -> Iterator[tuple[str, str, float]]:
-        """Every variable as ``(name, kind, lower bound)``, kind one of
-        "continuous", "integer" and "binary", in declaration order: r, the
-        link weights, then per target the distance labels (nodes v != t),
-        link-use indicators and split rates, then per demand and flow copy
-        each link's traffic and use indicator."""
+    @property
+    def variable_count(self) -> int:
+        """How many variables ``iter_variables`` yields, without the walk."""
+        n, m = len(self.g.node_capacity), len(self.g.links)
+        t, k = len(self.targets), len(self.demands)
+        return 1 + m + t * (n - 1) + t * m + t * n + 2 * k * self.flows_per_demand * m
+
+    def _shared_variables(self) -> Iterator[tuple[str, str, float]]:
+        """The variables no demand owns: r, the link weights, then per
+        target the distance labels, link-use indicators and split rates."""
         eids = [e.id for e in self.g.links]
         nodes = self.g.node_capacity
         yield "r", "continuous", 0.0
@@ -117,7 +136,15 @@ class MilpModel:
                 yield _uvar(eid, t), "binary", 0.0
             for v in nodes:
                 yield _gvar(v, t), "continuous", 0.0
-        prefixes = [(f"x_{eid}_", f"b_{eid}_") for eid in eids]
+
+    def iter_variables(self) -> Iterator[tuple[str, str, float]]:
+        """Every variable as ``(name, kind, lower bound)``, kind one of
+        "continuous", "integer" and "binary", in declaration order: r, the
+        link weights, then per target the distance labels (nodes v != t),
+        link-use indicators and split rates, then per demand and flow copy
+        each link's traffic and use indicator."""
+        yield from self._shared_variables()
+        prefixes = [(f"x_{e.id}_", f"b_{e.id}_") for e in self.g.links]
         for d in self.demands:
             for p in range(self.flows_per_demand):
                 s = f"{p}_{d.id}"
@@ -130,13 +157,16 @@ class MilpModel:
         1..14; a block's fills, each put into its templates in turn, give
         its rows in order.
 
-        c11-c13 are a block each of one template per link, whose ``%(n)s``
-        (``<demand>_<flow>``, in the name) and ``%(v)s`` (``<flow>_<demand>``,
-        in the variables) every (demand, flow) pair fills.  c6 templates are
-        per (target, volume) and c7 templates per target; each demand's
-        block fills ``%(d)s`` with its id and shares the key of its
-        templates.  The other families are blocks of one row and the empty
-        fill.  Ids match ``[A-Za-z0-9_]+``, so no name holds a stray ``%``.
+        Per-demand rows are templates whose ``@`` each demand's block
+        fills with its id, keyed by what the templates depend on: c1 per
+        node (a block per demand and node other than its endpoints), c2 and
+        c3 per endpoint and volume, c6 per volume (its ``&`` takes the
+        demand's destination), c7 per target, c9 per (function, chain
+        position, volume) and c10 per volume.
+        c11-c13 are a block each of one template per link, whose ``#``
+        (``<demand>_<flow>``, in the name) and ``$`` (``<flow>_<demand>``,
+        in the variables) every (demand, flow) pair fills.  The other
+        families are blocks of one row and the empty fill.
 
         The big-M constant is the maximum link capacity.  Distance labels
         toward a target t exist for nodes v != t; occurrences of the
@@ -158,16 +188,16 @@ class MilpModel:
         tail_in_at = [in_at[e.src] for e in links]
         x_prefix = [f"x_{eid}_" for eid in eids]
         w_names = [_wvar(eid) for eid in eids]
+        # x_d[p][i]: flow copy p of link i in a per-demand template
+        x_d = [[f"{pre}{p}_{_D}" for pre in x_prefix] for p in flows]
+        # each demand's one fill, in demand order
+        fill_d = [({_D: str(d.id)},) for d in demands]
 
         def once(*rows: Row) -> Block:
             return Block(None, rows, _ONCE)
 
         def suffixes(ds: Iterable[ServiceDemand]) -> list[str]:
             return [f"{p}_{d.id}" for d in ds for p in flows]
-
-        def x_terms(d: ServiceDemand, c: float) -> list[list[tuple[float, str]]]:
-            # per flow, the term (c, x) of every link, indexed by link position
-            return [[(c, pre + s) for pre in x_prefix] for s in suffixes((d,))]
 
         u_cache: dict[str, list[str]] = {}
 
@@ -176,23 +206,32 @@ class MilpModel:
                 u_cache[t] = [_uvar(eid, t) for eid in eids]
             return u_cache[t]
 
-        for d in demands:
-            plus, minus = x_terms(d, 1.0), x_terms(d, -1.0)
-            for v in nodes:
-                if v in (d.src, d.dst):
-                    continue
-                outs, ins = out_at[v], in_at[v]
-                terms: list[tuple[float, str]] = []
-                for p in flows:
-                    terms += [plus[p][i] for i in outs]
-                    terms += [minus[p][i] for i in ins]
-                yield once(Row(f"c1_{d.id}_{v}", "1", tuple(terms), "=", 0.0))
-        for d in demands:
-            terms = tuple([(1.0, x_prefix[i] + s) for s in suffixes((d,)) for i in out_at[d.src]])
-            yield once(Row(f"c2_{d.id}", "2", terms, "=", d.volume))
-        for d in demands:
-            terms = tuple([(1.0, x_prefix[i] + s) for s in suffixes((d,)) for i in in_at[d.dst]])
-            yield once(Row(f"c3_{d.id}", "3", terms, "=", d.volume))
+        balance: dict[str, tuple[Row, ...]] = {}
+        for v in nodes:
+            terms: list[tuple[float, str]] = []
+            for x in x_d:
+                terms += [(1.0, x[i]) for i in out_at[v]]
+                terms += [(-1.0, x[i]) for i in in_at[v]]
+            balance[v] = (Row(f"c1_{_D}_{v}", "1", tuple(terms), "=", 0.0),)
+        for d, fill in zip(demands, fill_d):
+            for v, rows in balance.items():
+                if v != d.src and v != d.dst:
+                    yield Block(("1", v), rows, fill)
+
+        # the templates of each key, made on the key's first block; each
+        # family starts a new dict, so the last one's templates can go
+        shared: dict[tuple, tuple[Row, ...]]
+        for fam, ends in (("2", out_at), ("3", in_at)):
+            shared = {}
+            for d, fill in zip(demands, fill_d):
+                v = d.src if fam == "2" else d.dst
+                # the volume's type is in the key: an int and an equal float
+                # of 1e16 and up are written differently
+                key = (fam, v, type(d.volume), d.volume)
+                if key not in shared:
+                    terms = [(1.0, x[i]) for x in x_d for i in ends[v]]
+                    shared[key] = (Row(f"c{fam}_{_D}", fam, tuple(terms), "=", d.volume),)
+                yield Block(key, shared[key], fill)
 
         every = suffixes(demands)
         for i, e in enumerate(links):
@@ -214,19 +253,19 @@ class MilpModel:
                     Row(f"c5_{e.id}_{t}_hi", "5", hi, "<=", h_total, side="hi"),
                 )
 
-        # c6 templates per (target, volume) and c7 templates per target;
-        # each demand fills its id into them
-        shared: dict[tuple, tuple[Row, ...]] = {}
-        x_flows = [tuple([(1.0, f"{pre}{p}_%(d)s") for p in flows]) for pre in x_prefix]
+        shared = {}
+        x_flows = [tuple([(1.0, x[i]) for x in x_d]) for i in range(len(eids))]
+        us = u_names(_T)
         for d in demands:
-            key, us = ("6", d.dst, d.volume), u_names(d.dst)
+            key = ("6", d.volume)
             if key not in shared:
                 shared[key] = tuple([
-                    Row(f"c6_%(d)s_{eid}", "6", (*x, (-d.volume, u)) if d.volume else x, "<=", 0.0)
+                    Row(f"c6_{_D}_{eid}", "6", (*x, (-d.volume, u)) if d.volume else x, "<=", 0.0)
                     for eid, x, u in zip(eids, x_flows, us)
                 ])
-            yield Block(key, shared[key], ({"d": str(d.id)},))
-        for d in demands:
+            yield Block(key, shared[key], ({_D: str(d.id), _T: d.dst},))
+        shared = {}
+        for d, fill in zip(demands, fill_d):
             t = d.dst
             key, us = ("7", t), u_names(t)
             if key not in shared:
@@ -236,57 +275,74 @@ class MilpModel:
                     tail = [(-1.0, _lvar(e.src, t))] if e.src != t else []
                     common = (*head, (1.0, w), *tail)
                     rows += [
-                        Row(f"c7_%(d)s_{e.id}_lo", "7", (*common, (1.0, u)), ">=", 1.0, "lo"),
-                        Row(f"c7_%(d)s_{e.id}_hi", "7", (*common, (m_z, u)), "<=", m_z, "hi"),
+                        Row(f"c7_{_D}_{e.id}_lo", "7", (*common, (1.0, u)), ">=", 1.0, "lo"),
+                        Row(f"c7_{_D}_{e.id}_hi", "7", (*common, (m_z, u)), "<=", m_z, "hi"),
                     ]
                 shared[key] = tuple(rows)
-            yield Block(key, shared[key], ({"d": str(d.id)},))
+            yield Block(key, shared[key], fill)
 
         for eid, w in zip(eids, w_names):
             yield once(Row(f"c8_{eid}", "8", ((1.0, w),), ">=", 1.0))
 
+        shared = {}
         hosts: dict[str, list[tuple[int, float]]] = {}
-        for d in demands:
+        for d, fill in zip(demands, fill_d):
             if d.volume <= 0:
                 continue
             for i, fn in enumerate(d.chain):
-                if fn not in hosts:
-                    hosts[fn] = [
-                        (j, float(k))
-                        for j, e in enumerate(links)
-                        if (k := int(g.can_host(e.src, fn)) + int(g.can_host(e.dst, fn)))
-                    ]
-                for p, s in zip(flows, suffixes((d,))):
-                    terms = tuple([(k, x_prefix[j] + s) for j, k in hosts[fn]])
-                    yield once(Row(f"c9_{d.id}_{i}_{p}", "9", terms, ">=", DELTA * d.volume))
-        for d in demands:
+                key = ("9", fn, i, d.volume)
+                if key not in shared:
+                    if fn not in hosts:
+                        hosts[fn] = [
+                            (j, float(k))
+                            for j, e in enumerate(links)
+                            if (k := int(g.can_host(e.src, fn)) + int(g.can_host(e.dst, fn)))
+                        ]
+                    shared[key] = tuple([
+                        Row(f"c9_{_D}_{i}_{p}", "9", tuple([(k, x[j]) for j, k in hosts[fn]]),
+                            ">=", DELTA * d.volume)
+                        for p, x in zip(flows, x_d)
+                    ])
+                yield Block(key, shared[key], fill)
+        shared = {}
+        for d, fill in zip(demands, fill_d):
             if d.volume <= 0:
                 continue
-            for p, terms in enumerate(x_terms(d, 1.0)):
-                yield once(Row(f"c10_{d.id}_{p}", "10", tuple(terms), ">=", DELTA * d.volume))
+            key = ("10", d.volume)
+            if key not in shared:
+                shared[key] = tuple([
+                    Row(f"c10_{_D}_{p}", "10", tuple([(1.0, v) for v in x]), ">=", DELTA * d.volume)
+                    for p, x in zip(flows, x_d)
+                ])
+            yield Block(key, shared[key], fill)
 
         # one template per link for each of c11-c13, filled by every
         # (demand, flow) pair
-        pairs = tuple([{"n": f"{d.id}_{p}", "v": f"{p}_{d.id}"} for d in demands for p in flows])
-        x = [(1.0, f"{pre}%(v)s") for pre in x_prefix]
-        b = [(-m_z, f"b_{eid}_%(v)s") for eid in eids]
+        pairs = tuple([{_N: f"{d.id}_{p}", _V: f"{p}_{d.id}"} for d in demands for p in flows])
+        x = [(1.0, f"{pre}{_V}") for pre in x_prefix]
+        b = [(-m_z, f"b_{eid}_{_V}") for eid in eids]
         down = [(x[i], *[(-1.0, x[j][1]) for j in tail_in_at[i]]) for i in range(len(eids))]
         for fam, terms, sense, rhs in (
             ("11", list(zip(x, b)), "<=", 0.0),
             ("12", [(*dn, bi) for dn, bi in zip(down, b)], ">=", -m_z),
             ("13", down, "<=", 0.0),
         ):
-            rows = [Row(f"c{fam}_%(n)s_{eid}", fam, ts, sense, rhs) for eid, ts in zip(eids, terms)]
+            rows = [Row(f"c{fam}_{_N}_{eid}", fam, ts, sense, rhs) for eid, ts in zip(eids, terms)]
             yield Block(None, tuple(rows), pairs)
 
+        own = [suffixes((d,)) for d in demands]
         for v in nodes:
             terms = []
-            for d in demands:
-                per_rate = sum(g.cost(v, fn) for fn in d.chain if g.can_host(v, fn))
+            # the compute per unit rate at v depends on the chain alone
+            per_chain: dict[tuple[str, ...], float] = {}
+            for d, sv in zip(demands, own):
+                per_rate = per_chain.get(d.chain)
+                if per_rate is None:
+                    per_rate = per_chain[d.chain] = sum(
+                        g.cost(v, fn) for fn in d.chain if g.can_host(v, fn)
+                    )
                 if per_rate:
-                    terms += [
-                        (per_rate, x_prefix[i] + s) for s in suffixes((d,)) for i in in_at[v]
-                    ]
+                    terms += [(per_rate, x_prefix[i] + s) for s in sv for i in in_at[v]]
             yield once(Row(f"c14_{v}", "14", tuple(terms), "<=", g.node_capacity[v]))
 
     def iter_rows(self) -> Iterator[Row]:
@@ -299,7 +355,8 @@ class MilpModel:
                     continue
                 for row in templates:
                     yield row._replace(
-                        name=row.name % fill, terms=tuple([(c, v % fill) for c, v in row.terms])
+                        name=_put(row.name, fill),
+                        terms=tuple([(c, _put(v, fill)) for c, v in row.terms]),
                     )
 
     @property
@@ -311,18 +368,30 @@ class MilpModel:
         """Constraints per family; the two halves of a two-sided constraint
         count once."""
         counts: dict[str, int] = {}
+        tallies: dict[tuple, dict[str, int]] = {}
         for block in self.iter_blocks():
-            _count(counts, block)
+            _count(counts, block, tallies)
         return counts
 
 
-def _count(counts: dict[str, int], block: Block) -> None:
-    """Tally the block's constraints per family: each template once per
-    fill, the two halves of a two-sided constraint once."""
+def _count(counts: dict[str, int], block: Block, tallies: dict[tuple, dict[str, int]]) -> None:
+    """Add the block's constraints per family to ``counts``: each template
+    once per fill, the two halves of a two-sided constraint once.  The
+    tally of one fill is kept in ``tallies`` per key, so shared templates
+    are scanned once; a block without fills adds nothing, not even a zero."""
     n = len(block.fills)
-    for row in block.rows if n else ():
-        if row.side != "hi":
-            counts[row.family] = counts.get(row.family, 0) + n
+    if not n:
+        return
+    tally = tallies.get(block.key) if block.key else None
+    if tally is None:
+        tally = {}
+        for row in block.rows:
+            if row.side != "hi":
+                tally[row.family] = tally.get(row.family, 0) + 1
+        if block.key:
+            tallies[block.key] = tally
+    for family, k in tally.items():
+        counts[family] = counts.get(family, 0) + k * n
 
 
 def build_model(
@@ -332,13 +401,23 @@ def build_model(
     rows on demand.  Targets are the distinct demand destinations.  Raises
     ValidationError when ``validate`` or ``validate_demands`` reports a
     problem, since the rows assume a well-formed instance, when a demand id
-    is negative (LP text would read its '-' in a name as a minus sign), or
-    when two generated variable names collide.
+    is negative (LP text would read its '-' in a name as a minus sign) or
+    repeated, or when two generated variable names collide.
+
+    Only w_, l_, u_ and g_ names can collide.  An x_ or b_ name ends in two
+    digit-only fields, the flow copy and a demand id >= 0, after a link id
+    that ``validate`` keeps unique, and its first letter is no other
+    family's; so with distinct demand ids it is unique.
     """
     if flows_per_demand < 1:
         raise ValidationError([f"flows per demand must be >= 1, got {flows_per_demand}"])
     problems = validate(g) + validate_demands(demands, g)
     problems += [f"demand {d.id}: negative id cannot be an LP name" for d in demands if d.id < 0]
+    seen: set[int] = set()
+    for d in demands:
+        if d.id in seen:
+            problems.append(f"demand {d.id}: repeated id would repeat its variable names")
+        seen.add(d.id)
     if problems:
         raise ValidationError(problems)
     model = MilpModel(
@@ -349,7 +428,7 @@ def build_model(
         targets=tuple(sorted({d.dst for d in demands})),
     )
     names: set[str] = set()
-    for name, _kind, _lb in model.iter_variables():
+    for name, _kind, _lb in model._shared_variables():
         if name in names:
             raise ValidationError([f"generated variable name {name} collides; use distinct ids"])
         names.add(name)
@@ -400,11 +479,11 @@ def _section(title: str, lines: Iterator[str]) -> Iterator[str]:
 
 def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
     """The model's LP text, each piece ending in a newline: the lines of a
-    block per fill, the tail sections in chunks of lines.  A block's text is
-    made once per key, then each fill goes in with one ``%``.  Rows without
-    terms are omitted (they carry no variables and LP rows cannot be empty)
-    but still counted: ``counts`` receives the constraints per family as the
-    blocks go by."""
+    block per fill, the tail sections in chunks of lines.  A block's text
+    and tally are made once per key, then each fill goes into the text with
+    one ``str.replace`` per placeholder.  Rows without terms are omitted
+    (they carry no variables and LP rows cannot be empty) but still counted:
+    ``counts`` receives the constraints per family as the blocks go by."""
     yield (
         f"\\ delta = {format_number(DELTA)} "
         "(relaxation of strict traversal inequalities)\n"
@@ -415,9 +494,10 @@ def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
     yield "Subject To\n"
     prefix, rhs_text = _NumberText(_term_prefix), _NumberText(format_number)
     texts: dict[tuple, str] = {}
+    tallies: dict[tuple, dict[str, int]] = {}
     for block in model.iter_blocks():
-        _count(counts, block)
-        text = texts.get(block.key)
+        _count(counts, block, tallies)
+        text = texts.get(block.key) if block.key else None
         if text is None:
             text = "".join([
                 f" {row.name}: {_format_terms(row.terms, prefix)} {row.sense} "
@@ -429,20 +509,27 @@ def _lp_lines(model: MilpModel, counts: dict[str, int]) -> Iterator[str]:
                 texts[block.key] = text
         if text:
             for fill in block.fills:
-                yield text % fill
-    # Bounds and Generals hold only the few weight and label names, so one
-    # walk lists both; the many binaries stream from a second walk.
+                yield _put(text, fill)
+    # Bounds, Generals and the link-use binaries hold only the variables no
+    # demand owns; each demand's binaries come from one template.
     bounds: list[str] = []
     generals: list[str] = []
-    for n, k, lb in model.iter_variables():
+    binaries: list[str] = []
+    for n, k, lb in model._shared_variables():
         if lb != 0.0:
             bounds.append(f" {n} >= {format_number(lb)}\n")
         if k == "integer":
             generals.append(f" {n}\n")
+        elif k == "binary":
+            binaries.append(f" {n}\n")
+    per_demand = "".join([
+        f" {_bvar(e.id, p, _D)}\n" for p in range(model.flows_per_demand) for e in model.g.links
+    ])
     yield from _section("Bounds\n", iter(bounds))
     yield from _section("Generals\n", iter(generals))
     yield from _section(
-        "Binaries\n", (f" {n}\n" for n, k, _lb in model.iter_variables() if k == "binary")
+        "Binaries\n",
+        chain(binaries, (per_demand.replace(_D, str(d.id)) for d in model.demands)),
     )
     yield "End\n"
 

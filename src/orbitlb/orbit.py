@@ -155,7 +155,8 @@ def _chained_field(
     start from the field it extends: (i, None, None) holds the group's links
     alone; (i, src, None) and (i, None, dst) add one ramp to it (see
     _ramp), and (i, src, dst) extends (i, None, dst) by the links of (i,
-    src, None), so it is None exactly when either one-ramp field is.
+    src, None), whose forward fills it starts from, so it is None exactly
+    when either one-ramp field is.
     Fields with at most one ramp are cached, at most kappa*(1 + 2|V|) of
     them, so each ramp is computed once per run; a field with both ramps is
     built on its cached base for each call and not kept."""
@@ -166,7 +167,7 @@ def _chained_field(
         base, entry = _chained_field(state, i, None, dst), _chained_field(state, i, src, None)
         if base is None or entry is None:
             return None
-        return ShortestPathField(state.g, state.w, entry._w.keys() | base._w.keys(), base)
+        return ShortestPathField(state.g, state.w, entry._w.keys() | base._w.keys(), base, entry)
     if src is None and dst is None:
         # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
         field = ShortestPathField(state.g, state.w, set(state.part.parts[i].link_ids))

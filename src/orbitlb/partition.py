@@ -40,11 +40,11 @@ class Partitioning:
 
     def verify(self, g: NfviGraph) -> list[str]:
         """Diagnostics for the structural invariants (disjoint cover,
-        balance, positive costs) and for groups whose internal links leave
-        their members in more than one piece."""
+        balance, positive costs) and for groups whose internal directed links
+        leave their members in more than one strongly connected piece, so
+        some member cannot reach another inside the group."""
         problems: list[str] = []
         seen: set[str] = set()
-        pair_cap = _pair_capacity(g)
         for p in self.parts:
             if len(p.nodes) > self.size_bound + BALANCE_FUZZ:
                 problems.append(
@@ -52,7 +52,7 @@ class Partitioning:
                 )
             if p.pi < 1.0:
                 problems.append(f"group {p.index} cost {p.pi} is below 1")
-            pieces = _spanning_forest(p.nodes, pair_cap)[1]
+            pieces = _strong_pieces(p.nodes, g)
             if pieces > 1:
                 problems.append(
                     f"group {p.index} internal links leave its {len(p.nodes)} nodes"
@@ -77,12 +77,36 @@ def _pair_capacity(g: NfviGraph) -> dict[tuple[str, str], float]:
     return cap
 
 
-def _spanning_forest(
-    nodes: frozenset[str], pair_cap: dict[tuple[str, str], float]
-) -> tuple[float, int]:
+def _strong_pieces(nodes: frozenset[str], g: NfviGraph) -> int:
+    """How many strongly connected pieces the links of g between members
+    leave ``nodes`` in: a member's piece is the members it both reaches and
+    is reached from."""
+    left, pieces = set(nodes), 0
+    while left:
+        root = min(left)
+        left -= _reached_members(nodes, g, root, True) & _reached_members(nodes, g, root, False)
+        pieces += 1
+    return pieces
+
+
+def _reached_members(nodes: frozenset[str], g: NfviGraph, root: str, forward: bool) -> set[str]:
+    """The members that root reaches (``forward``) or that reach root, over
+    links of g between members."""
+    adjacent = g.out_links if forward else g.in_links
+    seen, todo = {root}, [root]
+    while todo:
+        for e in adjacent.get(todo.pop(), ()):
+            u = e.dst if forward else e.src
+            if u in nodes and u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
+
+
+def _spanning_forest(nodes: frozenset[str], pair_cap: dict[tuple[str, str], float]) -> float:
     """Kruskal over the group's internal support edges: the bandwidth of a
-    minimum spanning forest and its number of trees, one per piece the
-    internal links leave the group in."""
+    minimum spanning forest, a tree per piece the support edges leave the
+    group in."""
     edges = sorted(
         ((c, u, v) for (u, v), c in pair_cap.items() if u in nodes and v in nodes),
         key=lambda t: (t[0], t[1], t[2]),
@@ -96,14 +120,12 @@ def _spanning_forest(
         return v
 
     total = 0.0
-    pieces = len(nodes)
     for c, u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
             total += c
-            pieces -= 1
-    return total, pieces
+    return total
 
 
 def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partitioning:
@@ -223,7 +245,7 @@ def partition(g: NfviGraph, kappa: int, epsilon: float, seed: int = 0) -> Partit
     for i in range(kappa):
         members = frozenset(v for v in nodes if assign[v] == i)
         link_ids = tuple(e.id for e in g.links if e.src in members and e.dst in members)
-        pi = max(1.0, _spanning_forest(members, pair_cap)[0])
+        pi = max(1.0, _spanning_forest(members, pair_cap))
         parts.append(Partition(index=i, nodes=members, link_ids=link_ids, pi=pi))
     return Partitioning(
         parts=tuple(parts),

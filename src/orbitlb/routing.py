@@ -33,7 +33,11 @@ def unit_weights(g: NfviGraph) -> dict[str, int]:
 
 
 def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
+    """Raise ValidationError unless every link has an integer weight from 1
+    to 2**53 // (|V| - 1): a shortest path has at most |V| - 1 links, so its
+    length stays a float that holds it exactly."""
     problems = []
+    limit = 2**53 // max(1, len(g.node_capacity) - 1)
     for e in g.links:
         if e.id not in w:
             problems.append(f"no weight for link {e.id}")
@@ -45,6 +49,11 @@ def validate_weights(g: NfviGraph, w: dict[str, int]) -> None:
                 ok = False  # None, text, nan or an infinity
             if not ok:
                 problems.append(f"weight of link {e.id} must be an integer >= 1, got {val!r}")
+            elif val > limit:
+                problems.append(
+                    f"weight of link {e.id} must be at most {limit} so path lengths"
+                    f" stay exact, got {val!r}"
+                )
     if problems:
         raise ValidationError(problems)
 
@@ -72,7 +81,8 @@ class ShortestPathField:
     relaxes only the links this field adds and runs Dijkstra on from the
     nodes they improved (an edge-insertion update, Ramalingam & Reps 1996).
     When no added link improves a node the fill is ``base``'s dict itself:
-    no fill is ever changed once made.
+    no fill is ever changed once made.  ``forward_base``, of the same kind,
+    stands in for ``base`` in forward fills only.
     """
 
     def __init__(
@@ -81,17 +91,18 @@ class ShortestPathField:
         w: dict[str, int],
         links: set[str] | None = None,
         base: ShortestPathField | None = None,
+        forward_base: ShortestPathField | None = None,
     ) -> None:
         self._g = g
         # the weights of the allowed links only
         self._w = {e.id: w[e.id] for e in g.links} if links is None else {i: w[i] for i in links}
         self._base = base
-        # the links a fill relaxes on top of base's fill
-        self._added: list[Link] = []
-        if base is not None:
-            if base._g is not g or not base._w.items() <= self._w.items():
-                raise ValueError("base must be a field of g over a subset of these weighted links")
-            self._added = [g.link_by_id[i] for i in self._w.keys() - base._w.keys()]
+        # the links a reverse (forward) fill relaxes on top of its base's fill
+        self._added = self._added_to(base)
+        self._forward_base, self._forward_added = (
+            (base, self._added) if forward_base is None
+            else (forward_base, self._added_to(forward_base))
+        )
         # _dist[t][v] is the distance from v to t, for the nodes reaching t
         self._dist: dict[str, dict[str, float]] = {}
         # _out[t][v] is v's tight list toward t, for the nodes asked so far
@@ -99,11 +110,24 @@ class ShortestPathField:
         # _from[s][v] is the distance from s to v, for the nodes s reaches
         self._from: dict[str, dict[str, float]] = {}
 
+    def _added_to(self, base: ShortestPathField | None) -> list[Link]:
+        """The links this field has beyond ``base``, which must be a field
+        of the same graph over a subset of these weighted links."""
+        if base is None:
+            return []
+        if base._g is not self._g or not base._w.items() <= self._w.items():
+            raise ValueError("base must be a field of g over a subset of these weighted links")
+        return [self._g.link_by_id[i] for i in self._w.keys() - base._w.keys()]
+
     def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
         """Distances from root (forward, over out-links) or to root
         (reverse, over in-links), keyed by exactly the nodes reached, from
-        scratch or from ``base``'s fill of root."""
-        g, w, base = self._g, self._w, self._base
+        scratch or from the direction's base's fill of root."""
+        g, w = self._g, self._w
+        if forward:
+            base, added = self._forward_base, self._forward_added
+        else:
+            base, added = self._base, self._added
         if root not in g.node_capacity:
             raise KeyError(root)
         adjacent = g.out_links if forward else g.in_links
@@ -113,7 +137,7 @@ class ShortestPathField:
         else:
             fill = base.from_source(root) if forward else base.to_target(root)
             get, heap = fill.get, []
-            for e in self._added:
+            for e in added:
                 n, f = (e.dst, e.src) if forward else (e.src, e.dst)
                 alt = get(f, INF) + w[e.id]
                 if alt < get(n, INF):

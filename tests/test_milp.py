@@ -11,6 +11,7 @@ import pytest
 from orbitlb import dataset_path
 from orbitlb.errors import ValidationError
 from orbitlb.fileio import load_demands, load_topology
+from orbitlb import milp
 from orbitlb.milp import (
     DELTA,
     Row,
@@ -25,6 +26,10 @@ from orbitlb.milp import (
 from orbitlb.model import Link, NfviGraph, ServiceDemand
 from orbitlb.fileio import format_number
 from orbitlb.routing import route_all, unit_weights
+
+
+# what the templates of iter_blocks hold in place of demand and node ids
+PLACEHOLDERS = (milp._D, milp._T, milp._N, milp._V)
 
 
 def one_demand(volume: float = 8.0) -> ServiceDemand:
@@ -118,6 +123,37 @@ def test_variable_name_collision_rejected():
     ]
     with pytest.raises(ValidationError, match="l_a_a_a collides"):
         build_model(g, demands)
+    # only w_, l_, u_ and g_ names are checked: with link ids that hold '_'
+    # the l_ collision is still found, and the x_/b_ names of links e and
+    # e_0 (x_e_0_1 against x_e_0_0_1) raise none
+    renamed = NfviGraph(
+        g.node_capacity,
+        tuple(Link(i, e.src, e.dst, e.capacity) for i, e in zip(("e", "e_0", "e_1", "e_0_1"), g.links)),
+        frozenset(),
+        (),
+        {},
+    )
+    with pytest.raises(ValidationError, match="l_a_a_a collides"):
+        build_model(renamed, demands)
+    distinct = NfviGraph(
+        {"s": 0.0, "t": 0.0},
+        (Link("e", "s", "t", 10.0), Link("e_0", "t", "s", 10.0), Link("e_1", "s", "t", 10.0)),
+        frozenset(),
+        (),
+        {},
+    )
+    model = build_model(distinct, [ServiceDemand(d, "s", "t", 1.0, ()) for d in (0, 1, 10)], 2)
+    names = [name for name, _kind, _lb in model.iter_variables()]
+    assert "x_e_0_1" in names and "x_e_0_0_1" in names
+    assert len(set(names)) == len(names) == model.variable_count
+
+
+def test_repeated_demand_id_rejected(diamond):
+    # a repeated id would give two demands the same x_ and b_ names
+    demands = [ServiceDemand(i, "s", "t", 1.0, ()) for i in (3, 4, 3)]
+    with pytest.raises(ValidationError) as exc:
+        build_model(diamond, demands)
+    assert exc.value.violations == ["demand 3: repeated id would repeat its variable names"]
 
 
 def test_export_sections_and_header(diamond):
@@ -171,6 +207,18 @@ def test_export_number_text_above_1e16():
     assert " c4_ba: + x_ba_0_0 - 1e+17 r <= 0" in lines
     assert " c14_a: + x_ba_0_0 <= 100000000000000000" in lines
     assert " c14_b: + x_ab_0_0 <= 1e+17" in lines
+
+
+def test_int_and_float_volumes_keep_their_own_text():
+    # 10**17 == 1e17, so one template keyed by the volume alone would write
+    # both right-hand sides the same way
+    g, _ = huge_numbers_case()
+    demands = [ServiceDemand(0, "a", "b", 10**17, ()), ServiceDemand(1, "a", "b", 1e17, ())]
+    lines = export_lp(build_model(g, demands, flows_per_demand=1)).splitlines()
+    assert " c2_0: + x_ab_0_0 = 100000000000000000" in lines
+    assert " c2_1: + x_ab_0_1 = 1e+17" in lines
+    assert " c3_0: + x_ab_0_0 = 100000000000000000" in lines
+    assert " c3_1: + x_ab_0_1 = 1e+17" in lines
 
 
 def test_export_writes_file(diamond, tmp_path):
@@ -239,6 +287,7 @@ def test_variable_layout(diamond, case, flows):
     n, m, k = len(g.node_capacity), len(g.links), len(demands)
     t = len({d.dst for d in demands})
     assert len(variables) == 1 + m + t * (n - 1) + t * m + t * n + 2 * k * flows * m
+    assert model.variable_count == len(variables)
     names = [name for name, _kind, _lb in variables]
     assert len(set(names)) == len(names)
     per_kind: dict[str, set[str]] = {}
@@ -288,6 +337,22 @@ def test_block_text_and_counts_agree_with_the_rows(diamond, case, flows):
     assert model.family_counts() == tally
 
 
+@pytest.mark.parametrize("flows", [1, 2, 3])
+@pytest.mark.parametrize("case", ["diamond", "chained", "internet2", "huge"])
+def test_no_placeholder_leaks(diamond, case, flows):
+    g, demands = huge_numbers_case() if case == "huge" else layout_case(case, diamond)
+    model = build_model(g, demands, flows)
+    declared = {name for name, _kind, _lb in model.iter_variables()}
+    used = set()
+    for row in model.iter_rows():
+        assert not any(p in row.name for p in PLACEHOLDERS), row.name
+        used.update(v for _c, v in row.terms)
+    assert used <= declared
+    assert not [v for v in declared if any(p in v for p in PLACEHOLDERS)]
+    leaks = [line for line in export_lp(model).splitlines() if any(p in line for p in PLACEHOLDERS)]
+    assert leaks == []
+
+
 def test_per_link_families_are_one_block_over_every_demand_and_flow():
     g, demands = internet2_prefix(5)
     model = build_model(g, demands, 3)
@@ -310,7 +375,8 @@ def test_geant_variable_count():
     t = len({d.dst for d in demands})
     count = 1 + m + t * (n - 1) + t * m + t * n + 2 * k * 2 * m
     assert count == 74_603
-    assert sum(1 for _ in build_model(g, demands, 2).iter_variables()) == count
+    model = build_model(g, demands, 2)
+    assert sum(1 for _ in model.iter_variables()) == model.variable_count == count
 
 
 def test_self_loop_rejected():

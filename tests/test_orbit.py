@@ -36,6 +36,7 @@ from orbitlb.routing import (
     _alloc_node_usage,
     route_demand_sfc,
     shortest_path_field,
+    unit_weights,
 )
 from tests.conftest import random_chained_instance, random_connected_graph, random_stream
 
@@ -617,6 +618,25 @@ def long_chained_stream(seed):
     return g, demands
 
 
+def test_verify_reports_groups_that_one_way_links_leave_unreachable():
+    # the ring is bidirected, so every group is one piece over its links
+    # taken both ways; one-way chords inside groups 0 and 3 leave 59 and 14
+    # ordered member pairs with no internal path
+    g, _ = long_chained_stream(53)
+    part = partition(g, 4, 1.5)
+    assert part.verify(g) == [
+        "group 0 internal links leave its 18 nodes in 3 pieces",
+        "group 3 internal links leave its 7 nodes in 3 pieces",
+    ]
+    unreachable = []
+    for p in part.parts:
+        field = ShortestPathField(g, unit_weights(g), set(p.link_ids))
+        unreachable.append(
+            sum(field.dist(a, b) == math.inf for a in p.nodes for b in p.nodes if a != b)
+        )
+    assert unreachable == [59, 0, 0, 14]
+
+
 def test_share_field_cache_is_bounded_by_the_instance(monkeypatch):
     """After every chained stream, and after a 1,000-demand stream on 48
     nodes that asks for more two-ramp fields than the bound allows, the
@@ -643,9 +663,9 @@ def test_share_field_cache_is_bounded_by_the_instance(monkeypatch):
 def test_two_ramp_share_fields_are_built_on_their_cached_base():
     """After a chained stream, a share field whose demand has both endpoints
     outside the group is built anew on each call and not cached: its base is
-    the cached (i, None, dst) field, its links are that base's plus those of
-    the cached entry field (i, src, None), and it answers every fill and tight list as a fresh
-    field masked to those links.  A None field is None too when a state
+    the cached (i, None, dst) field, its forward base the cached entry field
+    (i, src, None), its links are those two fields' links, and it answers
+    every fill and tight list as a fresh field masked to those links.  A None field is None too when a state
     with empty caches builds it."""
     built = unjoined = 0
     for g, demands, part in chained_streams():
@@ -664,8 +684,9 @@ def test_two_ramp_share_fields_are_built_on_their_cached_base():
                 continue
             assert orbit._share_field(state, i, d) is not field
             base = state._subgraphs[(i, None, d.dst)]
-            assert field._base is base
-            assert set(field._w) == set(base._w) | set(state._subgraphs[(i, d.src, None)]._w)
+            entry = state._subgraphs[(i, d.src, None)]
+            assert field._base is base and field._forward_base is entry
+            assert set(field._w) == set(base._w) | set(entry._w)
             fresh = ShortestPathField(g, state.w, set(field._w))
             for r in g.nodes:
                 assert field.to_target(r) == fresh.to_target(r)

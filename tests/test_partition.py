@@ -16,7 +16,7 @@ from orbitlb import dataset_path
 from orbitlb.errors import PartitionError
 from orbitlb.fileio import load_topology
 from orbitlb.model import Link, NfviGraph
-from orbitlb.partition import _pair_capacity, _spanning_forest, partition
+from orbitlb.partition import _pair_capacity, _spanning_forest, _strong_pieces, partition
 from tests.conftest import random_connected_graph
 
 
@@ -41,7 +41,7 @@ def test_pair_capacity_sums_both_directions():
 
 def test_mst_bandwidth_of_disconnected_set_spans_components():
     pc = {("a", "b"): 2.0}
-    assert _spanning_forest(frozenset({"a", "b", "c"}), pc) == (2.0, 2)
+    assert _spanning_forest(frozenset({"a", "b", "c"}), pc) == 2.0
 
 
 def test_verify_reports_groups_split_by_their_internal_links():
@@ -51,10 +51,9 @@ def test_verify_reports_groups_split_by_their_internal_links():
     ]
     part = partition(geant, 3, 1.5)
     assert part.verify(geant) == ["group 0 internal links leave its 4 nodes in 2 pieces"]
-    pc = _pair_capacity(geant)
     assert part.parts[0].nodes == {"AMS", "ATH", "DUB", "FRA"}
-    assert _spanning_forest(frozenset({"AMS", "ATH"}), pc)[1] == 1
-    assert _spanning_forest(frozenset({"DUB", "FRA"}), pc)[1] == 1
+    assert _strong_pieces(frozenset({"AMS", "ATH"}), geant) == 1
+    assert _strong_pieces(frozenset({"DUB", "FRA"}), geant) == 1
     internet2 = load_topology(dataset_path("internet2.topo"))
     for kappa in range(1, 6):
         for eps in range(1, 6):
@@ -65,11 +64,42 @@ def test_verify_reports_groups_split_by_their_internal_links():
             assert part.verify(internet2) == []
 
 
+def test_verify_counts_strongly_connected_pieces():
+    # a -> b -> c with c -> b: one piece over the links taken both ways, but
+    # nothing inside the group reaches a
+    g = NfviGraph(
+        {"a": 0.0, "b": 0.0, "c": 0.0},
+        (Link("ab", "a", "b", 1.0), Link("bc", "b", "c", 1.0), Link("cb", "c", "b", 1.0)),
+        frozenset(),
+        (),
+        {},
+    )
+    assert _strong_pieces(frozenset(g.nodes), both_ways(g)) == 1
+    assert _strong_pieces(frozenset(g.nodes), g) == 2
+    assert partition(g, 1, 1.0).verify(g) == ["group 0 internal links leave its 3 nodes in 2 pieces"]
+
+
 def test_group_cost_clamped_to_one():
     # three isolated nodes: spanning bandwidth 0, clamped
     g = NfviGraph({"a": 0.0, "b": 0.0, "c": 0.0}, (), frozenset(), (), {})
     part = partition(g, 3, 1.0)
     assert all(p.pi == 1.0 for p in part.parts)
+
+
+def both_ways(g: NfviGraph) -> NfviGraph:
+    """g plus a reversed copy of every link: its strongly connected pieces
+    are g's pieces over links taken both ways."""
+    back = tuple(Link(f"{e.id}_back", e.dst, e.src, e.capacity) for e in g.links)
+    return NfviGraph(g.node_capacity, g.links + back, frozenset(), (), {})
+
+
+def assert_valid_up_to_one_way_links(part, g):
+    """verify() finds nothing but groups that one-way chords leave in more
+    than one strongly connected piece, and each group is one piece over its
+    links taken both ways (the partitioner grows groups over neighbours, but
+    does not make them strongly connected)."""
+    assert [p for p in part.verify(g) if not p.endswith(" pieces")] == []
+    assert [_strong_pieces(p.nodes, both_ways(g)) for p in part.parts] == [1] * part.kappa
 
 
 def test_balance_bound_holds_on_random_graphs():
@@ -84,7 +114,7 @@ def test_balance_bound_holds_on_random_graphs():
         except PartitionError:
             assert int(eps * n / kappa) * kappa < n
             continue
-        assert part.verify(g) == []
+        assert_valid_up_to_one_way_links(part, g)
         assert len(part.parts) == kappa
         for p in part.parts:
             assert len(p.nodes) <= eps * n / kappa + 1e-9
@@ -103,7 +133,7 @@ def test_different_seeds_may_differ_but_stay_valid():
     rng = random.Random(18)
     g = random_connected_graph(rng, max_nodes=10, min_nodes=10)
     for seed in range(5):
-        assert partition(g, 2, 1.0, seed=seed).verify(g) == []
+        assert_valid_up_to_one_way_links(partition(g, 2, 1.0, seed=seed), g)
 
 
 def test_every_node_is_in_exactly_one_group(diamond):

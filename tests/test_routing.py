@@ -80,6 +80,26 @@ def test_validate_weights_reports_values_that_are_not_integers(diamond, bad):
     assert [p.split()[3] for p in exc.value.violations] == ["e_sa", "e_bt"]
 
 
+def test_weights_above_the_exact_bound_rejected():
+    # with weights of 1e308 the sums along v0 -> v3 overflowed to inf, and
+    # route_demand_sfc rejected a demand whose path exists
+    g = chain_graph([5.0, 5.0, 5.0])
+    limit = 2**53 // 3
+    with pytest.raises(ValidationError) as exc:
+        shortest_path_field(g, {e.id: 1e308 for e in g.links})
+    assert exc.value.violations == [
+        f"weight of link {e.id} must be at most {limit} so path lengths stay exact, got 1e+308"
+        for e in g.links
+    ]
+    with pytest.raises(ValidationError, match="at most"):
+        validate_weights(g, {"p0": 1, "p1": limit + 1, "p2": 1})
+    # at the bound every sum is exact, and the demand is routed
+    field = shortest_path_field(g, {e.id: float(limit) for e in g.links})
+    assert field.to_target("v3") == {"v3": 0, "v2": limit, "v1": 2 * limit, "v0": 3 * limit}
+    alloc = route_demand_sfc(g, field, ServiceDemand(0, "v0", "v3", 1.0, ()))
+    assert alloc is not None and alloc.link_flow == {"p0": 1.0, "p1": 1.0, "p2": 1.0}
+
+
 def test_shortest_distances_on_diamond(diamond):
     w = {"e_sa": 1, "e_at": 1, "e_sb": 1, "e_bt": 2}
     field = shortest_path_field(diamond, w)
@@ -254,6 +274,9 @@ def test_base_must_be_a_weighted_subset_of_the_same_graph(diamond):
     ):
         with pytest.raises(ValueError):
             ShortestPathField(g, weights, links, field)
+        # the forward base passes the same check
+        with pytest.raises(ValueError):
+            ShortestPathField(g, weights, links, None, field)
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,6 +310,30 @@ def test_field_over_a_base_answers_as_a_fresh_field(gw, data):
         if a == b:
             assert field.to_target(r) is base.to_target(r)
             assert field.from_source(r) is base.from_source(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_digraphs(), st.data())
+def test_field_over_two_bases_answers_as_a_fresh_field(gw, data):
+    """A field over links B with base A and forward base A2, both subsets
+    of B, answers every target, source and tight list as a fresh field over
+    B; a forward fill that no added link improves is A2's own dict."""
+    g, w = gw
+    b = data.draw(st.none() | st.sets(st.sampled_from(g.link_ids))) if g.links else None
+    in_b = sorted(g.link_ids if b is None else b)
+    a, a2 = (data.draw(st.sets(st.sampled_from(in_b))) if in_b else set() for _ in range(2))
+    base, forward_base = ShortestPathField(g, w, a), ShortestPathField(g, w, a2)
+    for r in data.draw(st.sets(st.sampled_from(g.nodes))):
+        base.to_target(r), forward_base.from_source(r)
+    field = ShortestPathField(g, w, b, base, forward_base)
+    fresh = ShortestPathField(g, w, b)
+    for r in data.draw(st.permutations(g.nodes)):
+        assert field.to_target(r) == fresh.to_target(r)
+        assert field.from_source(r) == fresh.from_source(r)
+        for v in g.nodes:
+            assert field.out_links(v, r) == fresh.out_links(v, r)
+        if set(a2) == set(in_b):
+            assert field.from_source(r) is forward_base.from_source(r)
 
 
 def eager_tight_lists(g, w, links, t):
