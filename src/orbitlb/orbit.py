@@ -154,9 +154,11 @@ def _chained_field(
     """The share field of key (i, src, dst), built as a chain whose fills
     start from the field it extends: (i, None, None) holds the group's links
     alone; (i, src, None) and (i, None, dst) add one ramp to it (see
-    _ramp), and (i, src, dst) extends (i, None, dst) by the links of (i,
-    src, None), whose forward fills it starts from, so it is None exactly
-    when either one-ramp field is.
+    _ramp), and (i, src, dst) extends (i, None, dst) by the entry ramp's
+    links of (i, src, None), whose forward fills it starts from, so it is
+    None exactly when either one-ramp field is.  ShortestPathField.joined
+    builds it from the links the two ramps add, with no set work over all
+    its links.
     Fields with at most one ramp are cached, at most kappa*(1 + 2|V|) of
     them, so each ramp is computed once per run; a field with both ramps is
     built on its cached base for each call and not kept."""
@@ -167,7 +169,7 @@ def _chained_field(
         base, entry = _chained_field(state, i, None, dst), _chained_field(state, i, src, None)
         if base is None or entry is None:
             return None
-        return ShortestPathField(state.g, state.w, entry._w.keys() | base._w.keys(), base, entry)
+        return base.joined(entry)
     if src is None and dst is None:
         # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
         field = ShortestPathField(state.g, state.w, set(state.part.parts[i].link_ids))
@@ -208,22 +210,26 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
     q_ids = state.demand_q[d.id] = tuple(hosts)
     state.zeta[d.id] = 0
 
-    eps = state.part.epsilon
-    while q_ids and sum(state.z[i] for i in q_ids) < 1.0:
+    z, eps = state.z, state.part.epsilon
+    # per eligible group: (i, pi_i, 1 + 1/(pi_i*eps), 1/(pi_i*|Q|)), the
+    # same for every sweep of the demand
+    steps = []
+    for i in q_ids:
+        pi = state.part.parts[i].pi
+        steps.append((i, pi, 1.0 + 1.0 / (pi * eps), 1.0 / (pi * len(q_ids))))
+    while q_ids and sum(z[i] for i in q_ids) < 1.0:
         d_p = 0.0
-        for i in q_ids:
-            pi = state.part.parts[i].pi
-            old = state.z[i]
-            new = old * (1.0 + 1.0 / (pi * eps)) + 1.0 / (pi * len(q_ids))
-            state.z[i] = new
+        for i, pi, growth, lift in steps:
+            old = z[i]
+            new = z[i] = old * growth + lift
             d_p += pi * (new - old)
         state.zeta[d.id] += 1
         state.p_o += d_p
         state.d_o += 1
         state.trace.append((d.id, d_p, 1))
 
-    total_z = sum((state.z[i] for i in q_ids), 0.0)
-    shares = {i: d.volume * state.z[i] / total_z for i in q_ids}
+    total_z = sum((z[i] for i in q_ids), 0.0)
+    shares = {i: d.volume * z[i] / total_z for i in q_ids}
     link_delta: dict[str, float] = {}
     node_delta: dict[str, float] = {}
     reason = "" if q_ids else "no_eligible_partition"

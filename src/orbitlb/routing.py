@@ -8,6 +8,7 @@ over all such outgoing links.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import heapq
 import math
@@ -82,7 +83,8 @@ class ShortestPathField:
     nodes they improved (an edge-insertion update, Ramalingam & Reps 1996).
     When no added link improves a node the fill is ``base``'s dict itself:
     no fill is ever changed once made.  ``forward_base``, of the same kind,
-    stands in for ``base`` in forward fills only.
+    stands in for ``base`` in forward fills only.  ``joined`` builds a field
+    with both from two fields that extend one base.
     """
 
     def __init__(
@@ -96,13 +98,24 @@ class ShortestPathField:
         self._g = g
         # the weights of the allowed links only
         self._w = {e.id: w[e.id] for e in g.links} if links is None else {i: w[i] for i in links}
-        self._base = base
+        added = self._added_to(base)
+        if forward_base is None:
+            self._start(base, added, base, added)
+        else:
+            self._start(base, added, forward_base, self._added_to(forward_base))
+
+    def _start(
+        self,
+        base: ShortestPathField | None,
+        added: list[Link],
+        forward_base: ShortestPathField | None,
+        forward_added: list[Link],
+    ) -> None:
+        """Set the bases, the links added to each, and empty fill caches on
+        a field whose ``_g`` and ``_w`` are set."""
+        self._base, self._forward_base = base, forward_base
         # the links a reverse (forward) fill relaxes on top of its base's fill
-        self._added = self._added_to(base)
-        self._forward_base, self._forward_added = (
-            (base, self._added) if forward_base is None
-            else (forward_base, self._added_to(forward_base))
-        )
+        self._added, self._forward_added = added, forward_added
         # _dist[t][v] is the distance from v to t, for the nodes reaching t
         self._dist: dict[str, dict[str, float]] = {}
         # _out[t][v] is v's tight list toward t, for the nodes asked so far
@@ -118,6 +131,31 @@ class ShortestPathField:
         if base._g is not self._g or not base._w.items() <= self._w.items():
             raise ValueError("base must be a field of g over a subset of these weighted links")
         return [self._g.link_by_id[i] for i in self._w.keys() - base._w.keys()]
+
+    def joined(self, entry: ShortestPathField) -> ShortestPathField:
+        """A field over the weighted links of this field and ``entry``,
+        which must extend the same base field as this one: one copy of
+        this field's weights plus a pass over the links each of the two
+        added to that base.  Its reverse fills start from this field's and
+        its forward fills from ``entry``'s.
+
+        Both fields hold the common base's links, so the new field adds to
+        this one only the links ``entry`` added that this one lacks, and to
+        ``entry`` only the links this one added that ``entry`` lacks."""
+        common = self._base
+        if common is None or entry._base is not common:
+            raise ValueError("entry must extend the same base field as this field")
+        w, added = dict(self._w), []
+        for e in entry._added:
+            if e.id not in w:
+                w[e.id] = entry._w[e.id]
+                added.append(e)
+        if not entry._w.items() <= w.items():
+            raise ValueError("entry must weigh the links of both fields alike")
+        field = ShortestPathField.__new__(ShortestPathField)
+        field._g, field._w = self._g, w
+        field._start(self, added, entry, [e for e in self._added if e.id not in entry._w])
+        return field
 
     def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
         """Distances from root (forward, over out-links) or to root
@@ -332,18 +370,27 @@ class FlowAllocation:
 
 
 def _split_segment(
-    field: ShortestPathField, nodes: tuple[str, ...], exit: str, amount: float
+    field: ShortestPathField,
+    nodes: tuple[str, ...],
+    exit: str,
+    amount: float,
+    link_flow: dict[str, float],
 ) -> dict[str, float]:
-    """Link flows of ``amount`` sent from nodes[0] to exit, divided equally
-    over the tight out-links of each node; ``nodes`` is _reached(field,
-    entry, exit), and an empty walk sends nothing."""
+    """Add to ``link_flow``, and return it, the link flows of ``amount``
+    sent from nodes[0] to exit, divided equally over the tight out-links of
+    each node; an empty walk sends nothing.  ``nodes`` is _reached(field,
+    entry, exit), which listed the tight out-links of every node it names,
+    so they are read off the field's lists toward exit.  Each node is
+    visited once, so a link takes one share of the segment: adding it
+    straight into the sum over segments gives the floats a per-segment sum
+    would."""
     inflow: dict[str, float] = dict.fromkeys(nodes[:1], amount)
-    link_flow: dict[str, float] = {}
+    out = field._out[exit]
     for v in nodes:
         flow_in = inflow.get(v, 0.0)
         if flow_in <= 0.0:
             continue
-        outs = field.out_links(v, exit)
+        outs = out[v]
         # every reached node but the exit has a tight out-link
         share = flow_in / len(outs)
         for e in outs:
@@ -420,8 +467,7 @@ def route_demand_sfc(
             return None
         nodes = _reached(field, a, b)
         segments.append((b, nodes))
-        for eid, val in _split_segment(field, nodes, b, amount).items():
-            link_flow[eid] = link_flow.get(eid, 0.0) + val
+        _split_segment(field, nodes, b, amount, link_flow)
     return FlowAllocation(d.id, waypoints, d.chain, link_flow, tuple(segments))
 
 
@@ -436,17 +482,27 @@ class UtilizationReport:
     capacity.  ``within_capacity`` and ``over_capacity_nodes`` apply the
     same comparisons to the whole load as if the ledger were empty.  Loads
     only grow, so ``add`` keeps ``r`` as a running maximum, equal to a
-    rescan of every link."""
+    rescan of every link.  The per-graph limits are never changed, so
+    ``_emptied`` shares them with a new ledger."""
 
     def __init__(self, g: NfviGraph) -> None:
         self._g = g
-        self.chi: dict[str, float] = {e.id: 0.0 for e in g.links}
-        self.node_usage: dict[str, float] = {v: 0.0 for v in g.node_capacity}
-        self.residual: dict[str, float] = dict(g.node_capacity)
-        self.r = 0.0
         self._capacity = {e.id: e.capacity for e in g.links}
         self._link_limit = {e.id: e.capacity + capacity_slack(e.capacity) for e in g.links}
         self._node_slack = {v: capacity_slack(c) for v, c in g.node_capacity.items()}
+        self._clear()
+
+    def _clear(self) -> None:
+        self.chi: dict[str, float] = dict.fromkeys(self._capacity, 0.0)
+        self.node_usage: dict[str, float] = dict.fromkeys(self._node_slack, 0.0)
+        self.residual: dict[str, float] = dict(self._g.node_capacity)
+        self.r = 0.0
+
+    def _emptied(self) -> UtilizationReport:
+        """An empty ledger of this ledger's graph that shares its limits."""
+        loads = copy.copy(self)
+        loads._clear()
+        return loads
 
     def fits(self, link_flow: dict[str, float], usage: dict[str, float]) -> bool:
         """Whether adding these link flows and node usages keeps every link
@@ -500,13 +556,15 @@ def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
     link_flow = alloc.link_flow
     heads = dict.fromkeys(g.link_by_id[eid].dst for eid in link_flow)
     inflow_cache: dict[str, float] = {}
+    # g.can_host and g.cost, read without a call per (node, function) pair
+    capability, cost = g._capability, g.vnf_cost
     for fn in alloc.chain:
         for v in heads:
-            if not g.can_host(v, fn):
+            if (v, fn) not in capability:
                 continue
             if v not in inflow_cache:
                 inflow_cache[v] = sum(link_flow.get(e.id, 0.0) for e in g.in_links[v])
-            usage[v] = usage.get(v, 0.0) + g.cost(v, fn) * inflow_cache[v]
+            usage[v] = usage.get(v, 0.0) + cost.get((v, fn), 0.0) * inflow_cache[v]
     return usage
 
 
@@ -579,10 +637,10 @@ def _route_demands(
     overloading demands) and route_all (no gate; None on the first
     unroutable demand)."""
     field = shortest_path_field(g, w)
-    moves, old = _Moves(), ()
     if prev is not None and prev._field is not None and prev._field._g is g:
-        moves, old = field._carry(prev._field), prev._routed
-    loads = UtilizationReport(g)
+        moves, old, loads = field._carry(prev._field), prev._routed, prev.report._emptied()
+    else:
+        moves, old, loads = _Moves(), (), UtilizationReport(g)
     routed: list[_Routed | None] = []
     committed: list[FlowAllocation] = []
     accepted: list[int] = []

@@ -618,6 +618,24 @@ def long_chained_stream(seed):
     return g, demands
 
 
+# sha256 of events_csv() of long_chained_stream(seed) at kappa 4, epsilon
+# 1.5, taken before two-ramp share fields were built from their ramps alone
+LONG_CHAINED_SHA256 = {
+    51: "71dca11642adfb5f1beb9e31631d502cb831dc913f7348e8266f468eabbcf1a9",
+    53: "7044571f88a457340d0a97126341a0c89b3bcff17b1e8611d97c7b93f017b191",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LONG_CHAINED_SHA256))
+def test_long_chained_event_logs_are_pinned(seed):
+    """Two 1,000-demand streams on 48 nodes, most of whose share fields
+    have both ramps, keep their event logs byte for byte."""
+    g, demands = long_chained_stream(seed)
+    state = run_stream(g, demands, partition(g, 4, 1.5))
+    digest = hashlib.sha256(state.events_csv().encode()).hexdigest()
+    assert digest == LONG_CHAINED_SHA256[seed]
+
+
 def test_verify_reports_groups_that_one_way_links_leave_unreachable():
     # the ring is bidirected, so every group is one piece over its links
     # taken both ways; one-way chords inside groups 0 and 3 leave 59 and 14
@@ -694,6 +712,83 @@ def test_two_ramp_share_fields_are_built_on_their_cached_base():
                 assert all(field.out_links(v, r) == fresh.out_links(v, r) for v in g.nodes)
             built += 1
     assert built > 100 and unjoined
+
+
+def test_two_ramp_share_fields_add_only_what_their_ramps_add():
+    """Every two-ramp share field of a chained stream holds its base's
+    weighted links, adds to them exactly the links its base lacks, and adds
+    to its entry field, whose forward fills it starts from, exactly the
+    links that entry field lacks."""
+    built = 0
+    for g, demands, part in chained_streams():
+        state = run_stream(g, demands, part)
+        for d, p in itertools.product(demands, part.parts):
+            if d.src in p.nodes or d.dst in p.nodes:
+                continue
+            field = orbit._share_field(state, p.index, d)
+            if field is None:
+                continue
+            base = state._subgraphs[(p.index, None, d.dst)]
+            entry = state._subgraphs[(p.index, d.src, None)]
+            added = [e.id for e in field._added]
+            forward_added = [e.id for e in field._forward_added]
+            assert len(set(added)) == len(added) and len(set(forward_added)) == len(forward_added)
+            assert set(added) == set(field._w) - set(base._w)
+            assert set(forward_added) == set(field._w) - set(entry._w)
+            assert base._w.items() <= field._w.items()
+            assert entry._w.items() <= field._w.items()
+            built += 1
+    assert built > 100
+
+
+def test_two_ramp_fields_need_one_ramp_fields_over_one_base():
+    """A field joins only a field that extends the same base field and
+    weighs the links they share alike."""
+    g = long_chained_stream(51)[0]
+    w = unit_weights(g)
+    ids = g.link_ids
+    common = ShortestPathField(g, w, set(ids[:4]))
+    exit = ShortestPathField(g, w, set(ids[:6]), common)
+    entry = ShortestPathField(g, w, set(ids[:4]) | set(ids[8:10]), common)
+    joined = exit.joined(entry)
+    assert set(joined._w) == set(ids[:6]) | set(ids[8:10])
+    # an equal base that is another field, no base, a link weighed otherwise
+    elsewhere = ShortestPathField(g, w, set(entry._w), ShortestPathField(g, w, set(ids[:4])))
+    reweighed = ShortestPathField(g, {**w, ids[4]: 2}, set(ids[:5]), common)
+    for field, other in ((exit, elsewhere), (common, entry), (exit, reweighed)):
+        with pytest.raises(ValueError):
+            field.joined(other)
+
+
+def test_raising_sweeps_follow_the_docstring_rule():
+    """After every chained stream, fractions, duals, per-demand sweep counts
+    and the sweep trace equal, bit for bit, those of the module docstring's
+    rule applied one sweep at a time over the eligible groups the run
+    recorded."""
+    sweeps = 0
+    for g, demands, part in chained_streams():
+        state = run_stream(g, demands, part)
+        eps = part.epsilon
+        z = [0.0] * part.kappa
+        p_o, d_o, zeta, trace = 0.0, 0, {}, []
+        for d in demands:
+            q = state.demand_q[d.id]
+            zeta[d.id] = 0
+            while q and sum(z[i] for i in q) < 1.0:
+                d_p = 0.0
+                for i in q:
+                    pi = part.parts[i].pi
+                    old = z[i]
+                    z[i] = z[i] * (1.0 + 1.0 / (pi * eps)) + 1.0 / (pi * len(q))
+                    d_p += pi * (z[i] - old)
+                zeta[d.id] += 1
+                p_o += d_p
+                d_o += 1
+                trace.append((d.id, d_p, 1))
+        assert state.z == z and state.p_o == p_o and state.d_o == d_o
+        assert state.zeta == zeta and state.trace == trace
+        sweeps += d_o
+    assert sweeps > 100
 
 
 def ramp_from_scratch(g, w, v, members, entry):

@@ -489,7 +489,7 @@ def test_split_segment_conserves_flow(gw, data):
     assume(exits)
     exit = data.draw(st.sampled_from(exits))
     amount = data.draw(st.floats(min_value=1e-3, max_value=1e3))
-    flow = _split_segment(field, _reached(field, entry, exit), exit, amount)
+    flow = _split_segment(field, _reached(field, entry, exit), exit, amount, {})
     inflow = {v: 0.0 for v in g.nodes}
     outflow = {v: 0.0 for v in g.nodes}
     for eid, val in flow.items():
@@ -538,7 +538,7 @@ def test_split_repeats_the_order_based_split(gw, data):
         for entry in g.nodes:
             for exit in g.nodes:
                 if field.dist(entry, exit) != INF:
-                    flow = _split_segment(field, _reached(field, entry, exit), exit, amount)
+                    flow = _split_segment(field, _reached(field, entry, exit), exit, amount, {})
                     assert list(flow.items()) == list(split_by_order(field, entry, exit, amount).items())
                 if entry == exit:
                     continue
@@ -994,6 +994,27 @@ def internet2():
 def test_routing_with_prev_equals_fresh_routing_on_internet2(internet2, data):
     g, demands = internet2
     walk_against_fresh_routing(g, demands, data.draw(weight_walks(g.link_ids)))
+
+
+def test_routing_with_prev_shares_its_ledger_limits(internet2):
+    """A ledger routed with a prev of the same graph shares prev's limit
+    dicts, which equal a fresh ledger's and no routing changes; a prev of
+    another graph shares nothing."""
+    g, demands = internet2
+    w = unit_weights(g)
+    first = route_stream(g, w, demands)
+    fresh = UtilizationReport(g)
+    limits = [dict(x) for x in (fresh._capacity, fresh._link_limit, fresh._node_slack)]
+    w[g.links[0].id] = 2
+    for route in (route_stream, route_all):
+        routed = route(g, w, demands, first)
+        assert_same_stream(routed, route(g, w, demands))
+        assert routed.report._capacity is first.report._capacity
+        assert routed.report._link_limit is first.report._link_limit
+        assert routed.report._node_slack is first.report._node_slack
+    assert [first.report._capacity, first.report._link_limit, first.report._node_slack] == limits
+    other = NfviGraph(g.node_capacity, g.links, g.vnf_catalog, g.capability_pairs(), g.vnf_cost)
+    assert route_stream(other, w, demands, first).report._link_limit is not first.report._link_limit
 
 
 @pytest.fixture
