@@ -682,9 +682,10 @@ def test_two_ramp_share_fields_are_built_on_their_cached_base():
     """After a chained stream, a share field whose demand has both endpoints
     outside the group is built anew on each call and not cached: its base is
     the cached (i, None, dst) field, its forward base the cached entry field
-    (i, src, None), its links are those two fields' links, and it answers
-    every fill and tight list as a fresh field masked to those links.  A None field is None too when a state
-    with empty caches builds it."""
+    (i, src, None), its links are those two fields' links, each direction
+    relaxes exactly the links its base lacks, and it answers every fill and
+    tight list as a fresh field masked to those links.  A None field is
+    None too when a state with empty caches builds it."""
     built = unjoined = 0
     for g, demands, part in chained_streams():
         state = run_stream(g, demands, part)
@@ -705,6 +706,14 @@ def test_two_ramp_share_fields_are_built_on_their_cached_base():
             entry = state._subgraphs[(i, d.src, None)]
             assert field._base is base and field._forward_base is entry
             assert set(field._w) == set(base._w) | set(entry._w)
+            # a fill relaxes exactly the links its base lacks, each once
+            added = [e.id for e in field._added]
+            forward_added = [e.id for e in field._forward_added]
+            assert len(set(added)) == len(added) and len(set(forward_added)) == len(forward_added)
+            assert set(added) == set(field._w) - set(base._w)
+            assert set(forward_added) == set(field._w) - set(entry._w)
+            assert base._w.items() <= field._w.items()
+            assert entry._w.items() <= field._w.items()
             fresh = ShortestPathField(g, state.w, set(field._w))
             for r in g.nodes:
                 assert field.to_target(r) == fresh.to_target(r)
@@ -714,44 +723,27 @@ def test_two_ramp_share_fields_are_built_on_their_cached_base():
     assert built > 100 and unjoined
 
 
-def test_two_ramp_share_fields_add_only_what_their_ramps_add():
-    """Every two-ramp share field of a chained stream holds its base's
-    weighted links, adds to them exactly the links its base lacks, and adds
-    to its entry field, whose forward fills it starts from, exactly the
-    links that entry field lacks."""
-    built = 0
-    for g, demands, part in chained_streams():
-        state = run_stream(g, demands, part)
-        for d, p in itertools.product(demands, part.parts):
-            if d.src in p.nodes or d.dst in p.nodes:
-                continue
-            field = orbit._share_field(state, p.index, d)
-            if field is None:
-                continue
-            base = state._subgraphs[(p.index, None, d.dst)]
-            entry = state._subgraphs[(p.index, d.src, None)]
-            added = [e.id for e in field._added]
-            forward_added = [e.id for e in field._forward_added]
-            assert len(set(added)) == len(added) and len(set(forward_added)) == len(forward_added)
-            assert set(added) == set(field._w) - set(base._w)
-            assert set(forward_added) == set(field._w) - set(entry._w)
-            assert base._w.items() <= field._w.items()
-            assert entry._w.items() <= field._w.items()
-            built += 1
-    assert built > 100
-
-
 def test_two_ramp_fields_need_one_ramp_fields_over_one_base():
-    """A field joins only a field that extends the same base field and
-    weighs the links they share alike."""
+    """Two fields over one base with ramps that share a link join into a
+    field over both that relaxes, in each direction, only the links its
+    base lacks, and answers as a fresh field.  A field joins only a field
+    that extends the same base field and weighs the links they share
+    alike."""
     g = long_chained_stream(51)[0]
     w = unit_weights(g)
     ids = g.link_ids
     common = ShortestPathField(g, w, set(ids[:4]))
     exit = ShortestPathField(g, w, set(ids[:6]), common)
-    entry = ShortestPathField(g, w, set(ids[:4]) | set(ids[8:10]), common)
+    entry = ShortestPathField(g, w, set(ids[:4]) | set(ids[5:8]), common)
     joined = exit.joined(entry)
-    assert set(joined._w) == set(ids[:6]) | set(ids[8:10])
+    assert joined._base is exit and joined._forward_base is entry
+    assert set(joined._w) == set(ids[:8])
+    assert sorted(e.id for e in joined._added) == sorted(ids[6:8])
+    assert [e.id for e in joined._forward_added] == [ids[4]]
+    fresh = ShortestPathField(g, w, set(ids[:8]))
+    for r in g.nodes:
+        assert joined.to_target(r) == fresh.to_target(r)
+        assert joined.from_source(r) == fresh.from_source(r)
     # an equal base that is another field, no base, a link weighed otherwise
     elsewhere = ShortestPathField(g, w, set(entry._w), ShortestPathField(g, w, set(ids[:4])))
     reweighed = ShortestPathField(g, {**w, ids[4]: 2}, set(ids[:5]), common)
