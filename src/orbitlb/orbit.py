@@ -127,7 +127,7 @@ def eligible_partitions(
     out = {}
     for p in part.parts:
         hosts = {v for v in p.nodes if residual_node[v] > 0}
-        if all(not hosts.isdisjoint(g.hosts_of(fn)) for fn in d.chain):
+        if all(not hosts.isdisjoint(g._hosts.get(fn, ())) for fn in d.chain):
             out[p.index] = hosts
     return out
 
@@ -141,11 +141,78 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
     so a member is its own unique closest member and adds no ramp.  Each
     field extends the field of one ramp fewer and starts its fills from
     that field's; only fields with at most one ramp are cached (see
-    _chained_field)."""
+    _chained_field), so a field with both ramps is joined anew on each
+    call."""
     members = state.part.parts[i].nodes
     return _chained_field(
         state, i, None if d.src in members else d.src, None if d.dst in members else d.dst
     )
+
+
+def _share_router(
+    state: OrbitState, i: int, d: ServiceDemand
+) -> ShortestPathField | _ChainedShare | None:
+    """What group i's share of d is routed on, None when no path of the
+    share field joins d's source to its destination.
+
+    Names: G is the group's field (i, None, None), A the entry field
+    (i, src, None) and B the exit field (i, None, dst), all cached.  A share
+    with a member endpoint routes on its cached share field (G, A or B).
+    So does a chainless share, on its two-ramp field, and a chained share
+    whose ramps meet outside the group.  Any other chained share with both
+    endpoints outside is a _ChainedShare over A, G and B, and builds no
+    two-ramp field.
+
+    That is exact because a ramp holds no member but its end, the group's
+    closest member: a member on a shortest path to (from) the closest one
+    would be closer.  So the entry ramp's nodes outside the group are the
+    tails of its links and the exit ramp's are the heads of its links, and
+    when the two sets are disjoint, a path of the two-ramp field leaves a
+    member only on group and exit-ramp links, and enters one only over
+    entry-ramp and group links.  Each walk and score then reads the same
+    integer distances and the same tight lists, in declaration order, as
+    on the two-ramp field, and the endpoints are joined exactly when some
+    member is in both A's fill from the source and B's fill to the
+    destination, the only nodes those fills share."""
+    members = state.part.parts[i].nodes
+    if d.chain and d.src not in members and d.dst not in members:
+        entry, exit = _chained_field(state, i, d.src, None), _chained_field(state, i, None, d.dst)
+        if entry is None or exit is None:
+            return None
+        if {e.src for e in entry._added}.isdisjoint([e.dst for e in exit._added]):
+            if entry.from_source(d.src).keys().isdisjoint(exit.to_target(d.dst)):
+                return None
+            return _ChainedShare(entry, exit, d.src, d.dst)
+    field = _share_field(state, i, d)
+    return None if field is None or field.dist(d.src, d.dst) == INF else field
+
+
+class _ChainedShare:
+    """A chained share with both endpoints outside its group and ramps that
+    meet only in the group, read off the cached fields that hold its paths
+    (see _share_router): A, the entry field, for the source; G, the
+    group's field, for members; B, the exit field, for the destination.
+    It answers what route_demand_sfc asks of a share whose waypoints are
+    members: host scores from the source (A) or a member (G) and to the
+    destination (B), and the field of each segment: from the source on A,
+    between members on G, to the destination on B."""
+
+    __slots__ = ("_entry", "_group", "_exit", "_src", "_dst")
+
+    def __init__(self, entry: ShortestPathField, exit: ShortestPathField, src: str, dst: str):
+        self._entry, self._group, self._exit = entry, exit._base, exit
+        self._src, self._dst = src, dst
+
+    def from_source(self, s: str) -> dict[str, float]:
+        return (self._entry if s == self._src else self._group).from_source(s)
+
+    def to_target(self, t: str) -> dict[str, float]:
+        return self._exit.to_target(t)
+
+    def along(self, a: str, b: str) -> ShortestPathField:
+        if a == self._src:
+            return self._entry
+        return self._exit if b == self._dst else self._group
 
 
 def _chained_field(
@@ -161,7 +228,9 @@ def _chained_field(
     its links.
     Fields with at most one ramp are cached, at most kappa*(1 + 2|V|) of
     them, so each ramp is computed once per run; a field with both ramps is
-    built on its cached base for each call and not kept."""
+    built on its cached base for each call and not kept.  Shares ask for
+    one only when chainless or when their ramps meet outside the group; any
+    other chained share reads the cached fields (see _share_router)."""
     key = (i, src, dst)
     if key in state._subgraphs:
         return state._subgraphs[key]
@@ -208,7 +277,6 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
         raise ValidationError([f"demand {d.id} was already processed"])
     hosts = eligible_partitions(d, state.part, state.g, state.residual_node)
     q_ids = state.demand_q[d.id] = tuple(hosts)
-    state.zeta[d.id] = 0
 
     z, eps = state.z, state.part.epsilon
     # per eligible group: (i, pi_i, 1 + 1/(pi_i*eps), 1/(pi_i*|Q|)), the
@@ -217,16 +285,22 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
     for i in q_ids:
         pi = state.part.parts[i].pi
         steps.append((i, pi, 1.0 + 1.0 / (pi * eps), 1.0 / (pi * len(q_ids))))
-    while q_ids and sum(z[i] for i in q_ids) < 1.0:
-        d_p = 0.0
+    # each sweep sums the new fractions as it makes them, from int 0 in
+    # group order as sum() would; duals are written back once per demand
+    sweeps, p_o, d_o, trace = 0, state.p_o, state.d_o, state.trace
+    total = sum(z[i] for i in q_ids)
+    while q_ids and total < 1.0:
+        d_p, total = 0.0, 0
         for i, pi, growth, lift in steps:
             old = z[i]
             new = z[i] = old * growth + lift
             d_p += pi * (new - old)
-        state.zeta[d.id] += 1
-        state.p_o += d_p
-        state.d_o += 1
-        state.trace.append((d.id, d_p, 1))
+            total += new
+        sweeps += 1
+        p_o += d_p
+        d_o += 1
+        trace.append((d.id, d_p, 1))
+    state.zeta[d.id], state.p_o, state.d_o = sweeps, p_o, d_o
 
     total_z = sum((z[i] for i in q_ids), 0.0)
     shares = {i: d.volume * z[i] / total_z for i in q_ids}
@@ -236,12 +310,12 @@ def process_demand(state: OrbitState, d: ServiceDemand) -> AdmissionDecision:
     # Every route through waypoints is a source-to-destination path in its
     # share's field, so a field that cannot join the endpoints rejects the
     # demand before any share is routed.  A zero share places nothing.
-    fields: dict[int, ShortestPathField] = {}
+    fields: dict[int, ShortestPathField | _ChainedShare] = {}
     for i in q_ids:
         if shares[i] == 0:
             continue
-        field = _share_field(state, i, d)
-        if field is None or field.dist(d.src, d.dst) == INF:
+        field = _share_router(state, i, d)
+        if field is None:
             reason = "capacity"
             fields = {}
             break

@@ -241,6 +241,10 @@ class ShortestPathField:
             ]
         return tight
 
+    def along(self, a: str, b: str) -> ShortestPathField:
+        """The field that holds the shortest paths from a to b: this one."""
+        return self
+
     def on_shortest(self, e: Link, t: str) -> bool:
         return any(x.id == e.id for x in self.out_links(e.src, t))
 
@@ -418,7 +422,7 @@ def select_waypoints(
         prev = waypoints[-1]
         from_prev: dict[str, float] | None = None
         best: tuple[float, str] | None = None
-        for v in g.hosts_of(fn):
+        for v in g._hosts.get(fn, ()):
             if allowed_hosts is not None and v not in allowed_hosts:
                 continue
             if from_prev is None:
@@ -448,7 +452,14 @@ def route_demand_sfc(
     """Route a demand through its function chain as concatenated equal-split
     segments over ``field``.  Returns None (a rejection, not an error) when
     no feasible sequence of hosting nodes exists or the destination is
-    unreachable."""
+    unreachable.
+
+    Waypoints are scored on ``field``'s fills from each previous waypoint
+    and to the destination (see select_waypoints), and the segment from a
+    to b is walked on ``field.along(a, b)``.  A ShortestPathField is its
+    own field for every segment; a share with cached fields for its parts
+    (orbit._ChainedShare) answers the scores and each segment from the
+    field that holds its paths."""
     if amount is None:
         amount = d.volume
     if amount < 0:
@@ -463,11 +474,12 @@ def route_demand_sfc(
     for a, b in zip(waypoints, waypoints[1:]):
         if a == b:
             continue
-        if field.dist(a, b) == INF:
+        segment = field.along(a, b)
+        if a not in segment.to_target(b):
             return None
-        nodes = _reached(field, a, b)
+        nodes = _reached(segment, a, b)
         segments.append((b, nodes))
-        _split_segment(field, nodes, b, amount, link_flow)
+        _split_segment(segment, nodes, b, amount, link_flow)
     return FlowAllocation(d.id, waypoints, d.chain, link_flow, tuple(segments))
 
 
@@ -551,6 +563,8 @@ def _alloc_node_usage(alloc: FlowAllocation, g: NfviGraph) -> dict[str, float]:
     """Compute usage of one allocation: node v spends, for every chain
     position it can host, the demand's total incoming rate at v times the
     per-rate cost of that function."""
+    if not alloc.chain:
+        return {}
     usage: dict[str, float] = {}
     # only heads of loaded links have inflow; other nodes would add zero
     link_flow = alloc.link_flow
@@ -683,12 +697,24 @@ def _route(g: NfviGraph, field: ShortestPathField, d: ServiceDemand) -> _Routed 
 def _reached(field: ShortestPathField, a: str, b: str) -> tuple[str, ...]:
     """a, which must reach b, and every node it reaches over tight links
     toward b, except b, sorted by (-dist(v, b), v) so each comes before the
-    heads of its tight out-links: the walk _split_segment takes."""
+    heads of its tight out-links: the walk _split_segment takes.  Each
+    node's tight list is read off the field's lists toward b; one not yet
+    listed is listed there as out_links lists it, inline, since every node
+    walked reaches b."""
     dist = field.to_target(b)
+    out = field._out.get(b)
+    if out is None:
+        out = field._out[b] = {}
+    w, links, get = field._w, field._g.out_links, dist.get
     seen = {a}
     stack = [a]
     while stack:
-        for e in field.out_links(stack.pop(), b):
+        v = stack.pop()
+        tight = out.get(v)
+        if tight is None:
+            dv = dist[v]
+            tight = out[v] = [e for e in links[v] if e.id in w and w[e.id] + get(e.dst, INF) == dv]
+        for e in tight:
             if e.dst not in seen:
                 seen.add(e.dst)
                 stack.append(e.dst)
@@ -717,7 +743,7 @@ def _still_holds(g: NfviGraph, field: ShortestPathField, moves: _Moves, rec: _Ro
             from_s = moves.from_source[wp[k]]
             if not (to_dst or from_s):
                 continue
-            moved = [v for v in g.hosts_of(fn) if v in to_dst or v in from_s]
+            moved = [v for v in g._hosts.get(fn, ()) if v in to_dst or v in from_s]
             if not moved:
                 continue
             host = wp[k + 1]
