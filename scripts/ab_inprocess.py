@@ -23,8 +23,9 @@ the graph partitioned before the clock starts.  Every round's output must
 equal the first side's byte for byte, or the script stops with an
 AssertionError.  It prints each side's median seconds per round, the
 median over pairs of first/last seconds (above 1 when the last side is
-faster) and how many pairs the last side wins.  The instance generator and
-dataset files are taken from this script's checkout for both sides.
+faster) and how many pairs the last side wins.  The instance generator,
+the benchmark's settings and the dataset files are taken from this
+script's checkout for both sides.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATASETS = os.path.join(ROOT, "src", "orbitlb", "datasets")
-KAPPA, EPSILON = 4, 1.5
 
 
 def load_package(name: str, checkout: str) -> types.SimpleNamespace:
@@ -63,17 +63,22 @@ def load_package(name: str, checkout: str) -> types.SimpleNamespace:
     return types.SimpleNamespace(**{sub: importlib.import_module(f"{name}.{sub}") for sub in subs})
 
 
-@functools.lru_cache(maxsize=None)
-def online_texts(seed: int) -> tuple[str, str]:
-    """Topology and demand text of the benchmark's online_scaled stream."""
+def perfbench():
+    """This checkout's ``perfbench/workloads.py``, which holds the
+    benchmark's instance sizes, partition settings and schedule."""
     for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
         if path not in sys.path:
             sys.path.insert(0, path)
-    import gen
-    import workloads
+    return importlib.import_module("workloads")
+
+
+@functools.lru_cache(maxsize=None)
+def online_texts(seed: int) -> tuple[str, str]:
+    """Topology and demand text of the benchmark's online_scaled stream."""
+    workloads = perfbench()
     from orbitlb import fileio
 
-    inst = gen.draw(workloads.OnlineScaled().spec, seed, "online")
+    inst = workloads.gen.draw(workloads.OnlineScaled().spec, seed, "online")
     return fileio.serialize_topology(inst.graph), fileio.serialize_demands(inst.demands)
 
 
@@ -86,7 +91,9 @@ class OnlineRound:
                 fh.write(text)
         self.g = pkg.fileio.load_topology(paths[0])
         self.demands = list(pkg.fileio.load_demands(paths[1], self.g))
-        self.part = pkg.partition.partition(self.g, KAPPA, EPSILON, 0)
+        bench = perfbench().OnlineScaled
+        self.part = pkg.partition.partition(self.g, bench.KAPPA, bench.EPSILON,
+                                            bench.PARTITION_SEED)
 
     def __call__(self) -> tuple[float, bytes]:
         state = self.pkg.orbit.OrbitState(self.g, self.part)
@@ -99,17 +106,14 @@ class OnlineRound:
 
 
 class AnnealingRound:
-    # the benchmark's weight_search schedule
-    SCHEDULE = dict(initial_temperature=1.0, cooling=0.25, iterations_per_level=31,
-                    stop_temperature=1e-3, seed=0)
-
     def __init__(self, pkg, _seed: int, _work_dir: str) -> None:
         self.pkg = pkg
+        self.schedule = perfbench().WeightSearch.SCHEDULE
         self.g = pkg.fileio.load_topology(os.path.join(DATASETS, "geant.topo"))
         self.demands = list(pkg.fileio.load_demands(os.path.join(DATASETS, "geant.demands"), self.g))
 
     def __call__(self) -> tuple[float, bytes]:
-        schedule = self.pkg.annealing.AnnealingSchedule(**self.SCHEDULE)
+        schedule = self.pkg.annealing.AnnealingSchedule(**self.schedule)
         start = time.process_time()
         sa = self.pkg.annealing.simulated_annealing(self.g, self.demands, schedule)
         seconds = time.process_time() - start
