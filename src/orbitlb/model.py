@@ -76,10 +76,6 @@ class NfviGraph:
     def can_host(self, node: str, fn: str) -> bool:
         return (node, fn) in self._capability
 
-    def hosts_of(self, fn: str) -> list[str]:
-        """Nodes able to host ``fn``, in declaration order."""
-        return list(self._hosts.get(fn, ()))
-
     def cost(self, node: str, fn: str) -> float:
         """Compute units consumed per unit traffic rate (0 if unpriced)."""
         return self.vnf_cost.get((node, fn), 0.0)
@@ -90,11 +86,11 @@ class NfviGraph:
     def max_link_capacity(self) -> float:
         return max((e.capacity for e in self.links), default=0.0)
 
-    def restricted(self, link_ids: Iterable[str], extra_nodes: Iterable[str] = ()) -> "NfviGraph":
+    def restricted(self, link_ids: Iterable[str]) -> "NfviGraph":
         """Subgraph induced by a link subset.
 
-        Nodes are the endpoints of the kept links plus ``extra_nodes``; their
-        hosting capabilities and costs are carried over unchanged.
+        Nodes are the endpoints of the kept links; their hosting
+        capabilities and costs are carried over unchanged.
         """
         keep = set(link_ids)
         links = [e for e in self.links if e.id in keep]
@@ -102,8 +98,6 @@ class NfviGraph:
         for e in links:
             node_ids.setdefault(e.src)
             node_ids.setdefault(e.dst)
-        for v in extra_nodes:
-            node_ids.setdefault(v)
         nodes = {v: self.node_capacity.get(v, 0.0) for v in node_ids}
         caps = [(v, fn) for v, fn in self._capability if v in nodes]
         costs = {key: c for key, c in self.vnf_cost.items() if key[0] in nodes}

@@ -90,11 +90,7 @@ class OrbitState:
         self.trace: list[tuple[int, float, int]] = []
         self.events: list[EventRecord] = []
         self.accepted_count: int = 0
-        # share fields with at most one ramp, per (group, source,
-        # destination) with member endpoints as None: at most
-        # kappa*(1 + 2|V|); each extends the cached field of one ramp fewer
-        # (see _chained_field), which it holds as its base.  A one-ramp
-        # field, or its None, is the one record of its ramp.
+        # share fields with at most one ramp (see _chained_field)
         self._subgraphs: dict[tuple[int, str | None, str | None], ShortestPathField | None] = {}
 
     def max_utilization(self) -> float:
@@ -133,16 +129,9 @@ def eligible_partitions(
 
 
 def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathField | None:
-    """Field for group i's share of a demand: the parent graph masked to
-    the group's internal links plus entry/exit ramps for the demand's
-    endpoints (see _ramp).  None when the group is unreachable from the
-    source or cannot reach the destination.  Fields are keyed per (group,
-    source, destination) with a member endpoint as None: weights are >= 1,
-    so a member is its own unique closest member and adds no ramp.  Each
-    field extends the field of one ramp fewer and starts its fills from
-    that field's; only fields with at most one ramp are cached (see
-    _chained_field), so a field with both ramps is joined anew on each
-    call."""
+    """Group i's share field for d (see _chained_field).  A member endpoint
+    is keyed as None: weights are >= 1, so a member is its own unique
+    closest member and adds no ramp."""
     members = state.part.parts[i].nodes
     return _chained_field(
         state, i, None if d.src in members else d.src, None if d.dst in members else d.dst
@@ -152,28 +141,22 @@ def _share_field(state: OrbitState, i: int, d: ServiceDemand) -> ShortestPathFie
 def _share_router(
     state: OrbitState, i: int, d: ServiceDemand
 ) -> ShortestPathField | _ChainedShare | None:
-    """What group i's share of d is routed on, None when no path of the
-    share field joins d's source to its destination.
+    """What group i's share of d routes on, None when no path of the share
+    field joins d's source to its destination.
 
-    Names: G is the group's field (i, None, None), A the entry field
-    (i, src, None) and B the exit field (i, None, dst), all cached.  A share
-    with a member endpoint routes on its cached share field (G, A or B).
-    So does a chainless share, on its two-ramp field, and a chained share
-    whose ramps meet outside the group.  Any other chained share with both
-    endpoints outside is a _ChainedShare over A, G and B, and builds no
-    two-ramp field.
-
-    That is exact because a ramp holds no member but its end, the group's
-    closest member: a member on a shortest path to (from) the closest one
-    would be closer.  So the entry ramp's nodes outside the group are the
-    tails of its links and the exit ramp's are the heads of its links, and
-    when the two sets are disjoint, a path of the two-ramp field leaves a
-    member only on group and exit-ramp links, and enters one only over
-    entry-ramp and group links.  Each walk and score then reads the same
-    integer distances and the same tight lists, in declaration order, as
-    on the two-ramp field, and the endpoints are joined exactly when some
-    member is in both A's fill from the source and B's fill to the
-    destination, the only nodes those fills share."""
+    A share with a member endpoint routes on its cached field, and so does
+    a chainless share, or a chained one whose ramps meet outside the group,
+    on its two-ramp field.  Any other chained share with both endpoints
+    outside is a _ChainedShare over the cached fields A (i, src, None), G
+    (i, None, None) and B (i, None, dst).  That is exact: a ramp holds no
+    member but its end, the closest member, since a member on it would be
+    closer.  So the entry ramp's nodes outside the group are the tails of
+    its links, the exit ramp's the heads of its links, and when the two
+    sets are disjoint a path leaves a member only on group and exit-ramp
+    links and enters one only over entry-ramp and group links.  Each walk
+    and score then reads the two-ramp field's distances and tight lists,
+    and the endpoints are joined exactly when A's fill from the source and
+    B's fill to the destination share a node, which can only be a member."""
     members = state.part.parts[i].nodes
     if d.chain and d.src not in members and d.dst not in members:
         entry, exit = _chained_field(state, i, d.src, None), _chained_field(state, i, None, d.dst)
@@ -188,14 +171,9 @@ def _share_router(
 
 
 class _ChainedShare:
-    """A chained share with both endpoints outside its group and ramps that
-    meet only in the group, read off the cached fields that hold its paths
-    (see _share_router): A, the entry field, for the source; G, the
-    group's field, for members; B, the exit field, for the destination.
-    It answers what route_demand_sfc asks of a share whose waypoints are
-    members: host scores from the source (A) or a member (G) and to the
-    destination (B), and the field of each segment: from the source on A,
-    between members on G, to the destination on B."""
+    """A chained share read off its cached fields (see _share_router): host
+    scores and segments from the source on A, from a member on G, and
+    toward the destination on B."""
 
     __slots__ = ("_entry", "_group", "_exit", "_src", "_dst")
 
@@ -218,35 +196,28 @@ class _ChainedShare:
 def _chained_field(
     state: OrbitState, i: int, src: str | None, dst: str | None
 ) -> ShortestPathField | None:
-    """The share field of key (i, src, dst), built as a chain whose fills
-    start from the field it extends: (i, None, None) holds the group's links
-    alone; (i, src, None) and (i, None, dst) add one ramp to it (see
-    _ramp), and (i, src, dst) extends (i, None, dst) by the entry ramp's
-    links of (i, src, None), whose forward fills it starts from, so it is
-    None exactly when either one-ramp field is.  ShortestPathField.joined
-    builds it from the links the two ramps add, with no set work over all
-    its links.
-    Fields with at most one ramp are cached, at most kappa*(1 + 2|V|) of
-    them, so each ramp is computed once per run; a field with both ramps is
-    built on its cached base for each call and not kept.  Shares ask for
-    one only when chainless or when their ramps meet outside the group; any
-    other chained share reads the cached fields (see _share_router)."""
+    """The share field of key (i, src, dst), extended from the one of one
+    ramp fewer: (i, None, None) holds the group's links alone, (i, src,
+    None) and (i, None, dst) add one ramp each (see _ramp), and (i, src,
+    dst) adds to (i, None, dst) the links (i, src, None) added.  It is None
+    when a ramp does not exist.  Fields with at most one ramp are cached,
+    at most kappa*(1 + 2|V|) of them, so each ramp is computed once per
+    run; a two-ramp field is built on each call and not kept."""
     key = (i, src, dst)
     if key in state._subgraphs:
         return state._subgraphs[key]
     if src is not None and dst is not None:
-        base, entry = _chained_field(state, i, None, dst), _chained_field(state, i, src, None)
-        if base is None or entry is None:
+        exit, entry = _chained_field(state, i, None, dst), _chained_field(state, i, src, None)
+        if exit is None or entry is None:
             return None
-        return base.joined(entry)
+        return exit.extended(state.w, [e.id for e in entry._added])
     if src is None and dst is None:
         # a mask, not g.restricted(): subgraph copies give equal results, slower and larger
-        field = ShortestPathField(state.g, state.w, set(state.part.parts[i].link_ids))
+        field = ShortestPathField(state.g, state.w, state.part.parts[i].link_ids)
     else:
-        field, base = None, _chained_field(state, i, None, None)
+        group = _chained_field(state, i, None, None)
         ramp = _ramp(state, i, dst if src is None else src, src is not None)
-        if ramp is not None:
-            field = ShortestPathField(state.g, state.w, ramp.union(base._w), base)
+        field = None if ramp is None else group.extended(state.w, ramp)
     state._subgraphs[key] = field
     return field
 

@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -75,47 +76,15 @@ class ShortestPathField:
 
     ``links``, when given, masks the graph to those link ids: answers equal
     those over ``g.restricted(links)`` on its nodes; other nodes are unreachable.
-
-    ``base``, when given, is a field of the same graph whose links and
-    weights are a subset of this field's.  A fill of root r then starts from
-    ``base``'s fill of r, exact over fewer links and so an upper bound,
-    relaxes only the links this field adds and runs Dijkstra on from the
-    nodes they improved (an edge-insertion update, Ramalingam & Reps 1996).
-    When no added link improves a node the fill is ``base``'s dict itself:
-    no fill is ever changed once made.  ``forward_base``, of the same kind,
-    stands in for ``base`` in forward fills only.  ``joined`` builds a field
-    with both from two fields that extend one base.
     """
 
-    def __init__(
-        self,
-        g: NfviGraph,
-        w: dict[str, int],
-        links: set[str] | None = None,
-        base: ShortestPathField | None = None,
-        forward_base: ShortestPathField | None = None,
-    ) -> None:
+    def __init__(self, g: NfviGraph, w: dict[str, int], links: Iterable[str] | None = None) -> None:
         self._g = g
         # the weights of the allowed links only
         self._w = {e.id: w[e.id] for e in g.links} if links is None else {i: w[i] for i in links}
-        added = self._added_to(base)
-        if forward_base is None:
-            self._start(base, added, base, added)
-        else:
-            self._start(base, added, forward_base, self._added_to(forward_base))
-
-    def _start(
-        self,
-        base: ShortestPathField | None,
-        added: list[Link],
-        forward_base: ShortestPathField | None,
-        forward_added: list[Link],
-    ) -> None:
-        """Set the bases, the links added to each, and empty fill caches on
-        a field whose ``_g`` and ``_w`` are set."""
-        self._base, self._forward_base = base, forward_base
-        # the links a reverse (forward) fill relaxes on top of its base's fill
-        self._added, self._forward_added = added, forward_added
+        # the field this one extends, and the links it adds to that field's
+        self._base: ShortestPathField | None = None
+        self._added: list[Link] = []
         # _dist[t][v] is the distance from v to t, for the nodes reaching t
         self._dist: dict[str, dict[str, float]] = {}
         # _out[t][v] is v's tight list toward t, for the nodes asked so far
@@ -123,49 +92,28 @@ class ShortestPathField:
         # _from[s][v] is the distance from s to v, for the nodes s reaches
         self._from: dict[str, dict[str, float]] = {}
 
-    def _added_to(self, base: ShortestPathField | None) -> list[Link]:
-        """The links this field has beyond ``base``, which must be a field
-        of the same graph over a subset of these weighted links."""
-        if base is None:
-            return []
-        if base._g is not self._g or not base._w.items() <= self._w.items():
-            raise ValueError("base must be a field of g over a subset of these weighted links")
-        return [self._g.link_by_id[i] for i in self._w.keys() - base._w.keys()]
-
-    def joined(self, entry: ShortestPathField) -> ShortestPathField:
-        """A field over the weighted links of this field and ``entry``,
-        which must extend the same base field as this one: one copy of
-        this field's weights plus a pass over the links each of the two
-        added to that base.  Its reverse fills start from this field's and
-        its forward fills from ``entry``'s.
-
-        Both fields hold the common base's links, so the new field adds to
-        this one only the links ``entry`` added that this one lacks, and to
-        ``entry`` only the links this one added that ``entry`` lacks."""
-        common = self._base
-        if common is None or entry._base is not common:
-            raise ValueError("entry must extend the same base field as this field")
-        w, added = dict(self._w), []
-        for e in entry._added:
-            if e.id not in w:
-                w[e.id] = entry._w[e.id]
-                added.append(e)
-        if not entry._w.items() <= w.items():
-            raise ValueError("entry must weigh the links of both fields alike")
-        field = ShortestPathField.__new__(ShortestPathField)
-        field._g, field._w = self._g, w
-        field._start(self, added, entry, [e for e in self._added if e.id not in entry._w])
+    def extended(self, w: dict[str, int], link_ids: Iterable[str]) -> ShortestPathField:
+        """A field over this field's weighted links plus each of ``link_ids``
+        it lacks, weighed by ``w``.  A fill of root r, in either direction,
+        starts from this field's fill of r, exact over fewer links and so an
+        upper bound, relaxes only the added links and runs Dijkstra on from
+        the nodes they improved (an edge-insertion update, Ramalingam & Reps
+        1996).  When no added link improves a node the fill is this field's
+        dict itself: no fill is ever changed once made."""
+        field = ShortestPathField(self._g, w, ())
+        field._w, field._base = dict(self._w), self
+        link = self._g.link_by_id
+        for i in link_ids:
+            if i not in field._w:
+                field._w[i] = w[i]
+                field._added.append(link[i])
         return field
 
     def _dijkstra(self, root: str, forward: bool) -> dict[str, float]:
         """Distances from root (forward, over out-links) or to root
         (reverse, over in-links), keyed by exactly the nodes reached, from
-        scratch or from the direction's base's fill of root."""
-        g, w = self._g, self._w
-        if forward:
-            base, added = self._forward_base, self._forward_added
-        else:
-            base, added = self._base, self._added
+        scratch or from the base's fill of root."""
+        g, w, base = self._g, self._w, self._base
         if root not in g.node_capacity:
             raise KeyError(root)
         adjacent = g.out_links if forward else g.in_links
@@ -175,7 +123,7 @@ class ShortestPathField:
         else:
             fill = base.from_source(root) if forward else base.to_target(root)
             get, heap = fill.get, []
-            for e in added:
+            for e in self._added:
                 n, f = (e.dst, e.src) if forward else (e.src, e.dst)
                 alt = get(f, INF) + w[e.id]
                 if alt < get(n, INF):
